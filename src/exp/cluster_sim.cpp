@@ -82,9 +82,11 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   jobs_.reserve(n);
   job_alpha_.assign(n, 0.0);
   job_model_spilled_.assign(n, 0);
+  job_pinned_at_one_.assign(n, 0);
   job_resident_cache_.assign(n, 0.0);
   job_resident_machines_.assign(n, 0);
   job_resident_valid_.assign(n, 0);
+  job_view_cache_.assign(n, core::SchedJob{});
   for (std::size_t i = 0; i < n; ++i) {
     SimJob& job = jobs_.emplace_back(rng_.fork());
     job.spec = workload[i];
@@ -134,6 +136,7 @@ void ClusterSim::set_alpha(core::JobId id, double alpha) {
   if (job_alpha_[id] == alpha) return;
   job_alpha_[id] = alpha;
   job_resident_valid_[id] = 0;
+  if (alpha >= 0.999) job_pinned_at_one_[id] = 1;
 }
 
 void ClusterSim::set_model_spilled(core::JobId id, bool spilled) {
@@ -360,6 +363,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   ++job.profile_iterations;
 
   profiler_.record(job.spec.id, g.machines, comp_duration_s, comm_duration);
+  job_view_cache_[job.spec.id].id = core::kNoJob;  // the estimate moved
 
   const double wall = sim_.now() - job.iter_start_time;
   if (obs::Tracer::enabled())
@@ -529,7 +533,9 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
   --g->active_members;
   job.group = nullptr;
   job.state = state;
+  // An ungrouped job holds no memory share: it spills nothing, input or model.
   set_alpha(job.spec.id, 0.0);
+  set_model_spilled(job.spec.id, false);
   reindex_job(job);
 
   if (g->stopping && g->active_members == 0) {
@@ -582,10 +588,10 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // groups_ scan (groups_ never shrinks — dissolved groups stay for late no-op
 // events). The indexes below maintain those answers incrementally, keyed off
 // the same predicates, so the per-event cost tracks the live population
-// instead of everything ever created. The id-sorted lists reproduce the exact
-// iteration order of a jobs_ scan (ids are pool indices), which keeps every
-// downstream std::sort input sequence — and therefore its tie permutation —
-// identical to the scan-based code.
+// instead of everything ever created. The id-sorted waiting list reproduces
+// the exact iteration order of a jobs_ scan (ids are pool indices); the
+// submit-ordered lists hold the pinned (submit_time, id) total order that
+// scheduling passes consume, so no pass sorts its input.
 
 void ClusterSim::reindex_job(SimJob& job) {
   const core::JobId id = job.spec.id;
@@ -609,7 +615,11 @@ void ClusterSim::reindex_job(SimJob& job) {
   const bool idle =
       job.state == core::JobState::kProfiled || job.state == core::JobState::kPaused;
   if (idle != job.in_idle_index) {
-    const auto it = std::lower_bound(idle_ids_.begin(), idle_ids_.end(), id);
+    // Kept in the pinned (submit_time, id) order, like waiting_by_submit_, so
+    // idle_sched_jobs() is a gather with no per-pass sort.
+    const auto it = std::lower_bound(
+        idle_ids_.begin(), idle_ids_.end(), id,
+        [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
     if (idle) {
       idle_ids_.insert(it, id);
     } else {
@@ -679,7 +689,13 @@ void ClusterSim::dissolve_emptied_groups(bool skip_stopping) {
 // ---------------------------------------------------------------------------
 // Scheduling — shared helpers
 
-core::SchedJob ClusterSim::sched_view(const SimJob& job) {
+core::SchedJob ClusterSim::sched_view(const SimJob& job) const {
+  core::SchedJob& cached = job_view_cache_[job.spec.id];
+  if (cached.id == core::kNoJob) cached = sched_view_uncached(job);
+  return cached;
+}
+
+core::SchedJob ClusterSim::sched_view_uncached(const SimJob& job) const {
   core::JobProfile p;
   if (config_.grouping == GroupingPolicy::kHarmony) {
     const auto measured = profiler_.profile(job.spec.id);
@@ -694,18 +710,11 @@ core::SchedJob ClusterSim::sched_view(const SimJob& job) {
 }
 
 std::vector<core::SchedJob> ClusterSim::idle_sched_jobs() const {
-  std::vector<const SimJob*> idle;
-  idle.reserve(idle_ids_.size());
-  for (core::JobId id : idle_ids_) idle.push_back(&jobs_[id]);
-  // Same pinned (submit_time, id) total order as the waiting index. idle_ids_
-  // is id-sorted, so ties land in id order deterministically.
-  std::sort(idle.begin(), idle.end(), [this](const SimJob* a, const SimJob* b) {
-    return submit_order_less(a->spec.id, b->spec.id);
-  });
+  // idle_ids_ is maintained in the pinned (submit_time, id) order, the same
+  // total order as the waiting index, so this is a straight gather.
   std::vector<core::SchedJob> out;
-  out.reserve(idle.size());
-  auto* self = const_cast<ClusterSim*>(this);
-  for (const SimJob* job : idle) out.push_back(self->sched_view(*job));
+  out.reserve(idle_ids_.size());
+  for (core::JobId id : idle_ids_) out.push_back(sched_view(jobs_[id]));
   return out;
 }
 
@@ -718,7 +727,7 @@ std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
     rg.machines = g->machines;
     for (core::JobId id : g->members) {
       if (jobs_[id].state == core::JobState::kRunning)
-        rg.jobs.push_back(self->sched_view(jobs_[id]));
+        rg.jobs.push_back(sched_view(jobs_[id]));
     }
     if (!rg.jobs.empty()) out.push_back(std::move(rg));
   }
@@ -1479,8 +1488,8 @@ AlphaStats ClusterSim::alpha_stats() const {
   st.mean = alpha_samples_.mean();
   st.min = alpha_samples_.min();
   st.max = alpha_samples_.max();
-  for (std::size_t i = 0; i < jobs_.size(); ++i)
-    if (job_alpha_[i] >= 0.999 || job_model_spilled_[i] != 0) ++st.jobs_at_one;
+  st.jobs_at_one = static_cast<std::size_t>(
+      std::count(job_pinned_at_one_.begin(), job_pinned_at_one_.end(), std::uint8_t{1}));
   return st;
 }
 

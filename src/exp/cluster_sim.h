@@ -126,7 +126,9 @@ struct AlphaStats {
   double mean = 0.0;
   double min = 1.0;
   double max = 0.0;
-  std::size_t jobs_at_one = 0;  // jobs pinned at α = 1 (model spill kicks in)
+  // Jobs that were ever pinned at α = 1 (where model spill can kick in),
+  // counted once each over the whole run.
+  std::size_t jobs_at_one = 0;
 };
 
 class ClusterSim {
@@ -187,6 +189,8 @@ class ClusterSim {
     kOverAllocatedMachine,  // a group claims a machine the free pool still owns
     kSkewedSpillAlpha,      // a job's disk ratio pushed outside [0, 1]
     kBrokenMembership,      // group drops a member that still points at it
+    kSwappedIdleOrder,      // two idle-index ids out of (submit_time, id) order
+    kStaleSchedView,        // a memoized scheduler view no longer matches the profiler
   };
   void corrupt_for_test(Corruption kind);
 
@@ -234,7 +238,13 @@ class ClusterSim {
   void try_schedule_isolated();
   void try_schedule_naive();
   void run_initial_harmony_schedule();
-  core::SchedJob sched_view(const SimJob& job);
+  // The scheduler's view of a job: its measured (Harmony) or oracle
+  // (baselines) profile with the injected model error applied. Memoized per
+  // job: the only input that changes during a run is the profiler's estimate,
+  // so end_iteration drops the entry when it records a sample. Parked jobs run
+  // no iterations, so every scheduling pass reuses their views.
+  core::SchedJob sched_view(const SimJob& job) const;
+  core::SchedJob sched_view_uncached(const SimJob& job) const;
   std::vector<core::SchedJob> idle_sched_jobs() const;
   std::vector<core::RunningGroup> running_groups_view() const;
 
@@ -316,22 +326,29 @@ class ClusterSim {
   // times are arrivals_ (already dense by id, immutable after construction).
   std::vector<double> job_alpha_;                 // spill ratio, [0, 1]
   std::vector<std::uint8_t> job_model_spilled_;   // bool; model data on disk
+  // Sticky bool: the job has ever held α >= 0.999 (AlphaStats::jobs_at_one).
+  // α and the model-spill flag reset when a job is parked, so the live values
+  // cannot answer this at the end of a run.
+  std::vector<std::uint8_t> job_pinned_at_one_;
   // Resident-bytes memo: valid when job_resident_valid_[id] != 0 AND the
   // queried machine count equals job_resident_machines_[id]. Mutable because
   // group_occupancy is logically const.
   mutable std::vector<double> job_resident_cache_;
   mutable std::vector<std::uint32_t> job_resident_machines_;
   mutable std::vector<std::uint8_t> job_resident_valid_;
+  // sched_view memo, dense by JobId; an entry whose id is kNoJob is empty.
+  mutable std::vector<core::SchedJob> job_view_cache_;
 
-  // Job-state indexes, maintained by reindex_job(). The id-sorted lists
-  // reproduce the iteration order of a jobs_ scan (ids are pool indices), so
+  // Job-state indexes, maintained by reindex_job(). The id-sorted list
+  // reproduces the iteration order of a jobs_ scan (ids are pool indices), so
   // downstream sorts see the identical input sequence.
   std::vector<core::JobId> waiting_ids_;  // arrived && kWaiting
   // Same membership as waiting_ids_, kept sorted by (submit_time, id) — the
   // pinned scheduling order — via ordered insert/erase in reindex_job. This
   // replaces the per-scheduling-pass sort that dominated large-cluster runs.
   std::vector<core::JobId> waiting_by_submit_;
-  std::vector<core::JobId> idle_ids_;     // kProfiled || kPaused
+  // kProfiled || kPaused, kept in the same (submit_time, id) order.
+  std::vector<core::JobId> idle_ids_;
   std::size_t profiling_count_ = 0;
   std::size_t paused_count_ = 0;
   std::size_t profiled_ungrouped_count_ = 0;

@@ -156,6 +156,22 @@ check::ValidationReport ClusterSim::validate_state() const {
         << want << " (stale memo: missed invalidation)";
   }
 
+  // -- scheduler-view memo vs a from-scratch recomputation ------------------
+  // A filled entry must equal the view rebuilt from the profiler now; a
+  // mismatch means a profiler sample skipped its invalidation.
+  for (core::JobId id = 0; id < jobs_.size(); ++id) {
+    const core::SchedJob& cached = job_view_cache_[id];
+    if (cached.id == core::kNoJob) continue;
+    const core::SchedJob want = sched_view_uncached(jobs_[id]);
+    HARMONY_VALIDATE(v, cached.id == want.id &&
+                            cached.profile.cpu_work == want.profile.cpu_work &&
+                            cached.profile.t_net == want.profile.t_net)
+        << check::job(id) << "scheduler-view cache holds (cpu_work "
+        << cached.profile.cpu_work << ", t_net " << cached.profile.t_net
+        << ") but the profiler now gives (" << want.profile.cpu_work << ", "
+        << want.profile.t_net << ") (stale view: missed invalidation)";
+  }
+
   // -- job-state indexes vs a from-scratch rebuild --------------------------
   std::vector<core::JobId> want_waiting;
   std::vector<core::JobId> want_idle;
@@ -189,10 +205,13 @@ check::ValidationReport ClusterSim::validate_state() const {
         << " ids) diverges from the waiting set re-sorted by (submit, id): "
         << "bad index entry or broken tie-break order";
   }
+  // The idle index is kept in the same pinned (submit_time, id) order.
+  std::sort(want_idle.begin(), want_idle.end(),
+            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
   HARMONY_VALIDATE(v, idle_ids_ == want_idle)
       << "idle index (" << idle_ids_.size()
-      << " ids) diverges from a from-scratch rebuild (" << want_idle.size()
-      << " ids): bad index entry";
+      << " ids) diverges from the idle set rebuilt and sorted by (submit, id) ("
+      << want_idle.size() << " ids): bad index entry or broken submit order";
   HARMONY_VALIDATE(v, profiling_count_ == want_profiling)
       << "profiling counter " << profiling_count_ << " != recount " << want_profiling;
   HARMONY_VALIDATE(v, paused_count_ == want_paused)
@@ -282,6 +301,22 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
         return;
       }
       break;
+    }
+    case Corruption::kSwappedIdleOrder: {
+      // Right membership, wrong order: the first two idle ids trade places.
+      if (idle_ids_.size() >= 2) {
+        std::swap(idle_ids_[0], idle_ids_[1]);
+        return;
+      }
+      break;
+    }
+    case Corruption::kStaleSchedView: {
+      // Raw write on purpose: an entry that outlived a profiler sample.
+      if (jobs_.empty()) break;
+      core::SchedJob stale = sched_view_uncached(jobs_.front());
+      stale.profile.cpu_work *= 2.0;
+      job_view_cache_.front() = stale;
+      return;
     }
     case Corruption::kOverAllocatedMachine: {
       // A group grabs a machine the free pool never released.

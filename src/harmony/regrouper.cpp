@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "common/stats.h"
 #include "obs/metrics.h"
@@ -14,6 +15,95 @@ namespace {
 // Pure observation of which branch of the §IV-B rules fired; never read back.
 void count_action(const char* name) {
   obs::MetricsRegistry::instance().counter(name).add();
+}
+
+// Completion step (2): the first pair (a, b), a < b, in index order whose
+// *sums* match the finished job — total iteration time within `similarity`
+// of `target_itr` and summed comp/comm ratio within `similarity` of
+// `target_ratio`. Returns {n, n} when no pair matches.
+//
+// Only pairs whose x_a + x_b (x = t_cpu + t_net) lies in the iteration-time
+// window [T - sD, T + sD], D = max(|T|, 1e-12), can match, so the idle jobs
+// are sorted by x once and each a binary-searches its partner window:
+// O(n log n) plus the window candidates, instead of all n² pairs. The exact
+// test sums (c_a + c_b) + (n_a + n_b) while the window sums x_a + x_b; the
+// two round differently, so the window is widened by a relative slack many
+// orders of magnitude above that rounding, and every candidate is re-checked
+// with the exact test.
+std::pair<std::size_t, std::size_t> first_matching_pair(std::span<const SchedJob> idle,
+                                                        std::size_t dop, double target_itr,
+                                                        double target_ratio,
+                                                        double similarity) {
+  const std::size_t n = idle.size();
+  const std::pair<std::size_t, std::size_t> none{n, n};
+  // A non-finite target or a NaN threshold makes every relative_error test
+  // fail (NaN or inf/inf), so no pair can match.
+  if (n < 2 || !std::isfinite(target_itr) || std::isnan(similarity)) return none;
+
+  std::vector<double> cpu(n), net(n), x(n);
+  // (x, index) of every job with a finite x, sorted. Jobs with a non-finite
+  // x fall outside any window; they are kept aside and offered to every a,
+  // so the result never depends on the window for them.
+  std::vector<std::pair<double, std::size_t>> by_x;
+  std::vector<std::size_t> wild;
+  by_x.reserve(n);
+  double magnitude = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    cpu[j] = idle[j].profile.t_cpu(dop);
+    net[j] = idle[j].profile.t_net;
+    x[j] = cpu[j] + net[j];
+    if (std::isfinite(x[j])) {
+      by_x.emplace_back(x[j], j);
+      magnitude = std::max(magnitude, std::abs(cpu[j]) + std::abs(net[j]));
+    } else {
+      wild.push_back(j);
+    }
+  }
+  std::sort(by_x.begin(), by_x.end());
+
+  const auto matches = [&](std::size_t a, std::size_t b) {
+    const double sum_cpu = cpu[a] + cpu[b];
+    const double sum_net = net[a] + net[b];
+    const double sum_itr = sum_cpu + sum_net;
+    const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
+    return relative_error(sum_itr, target_itr) <= similarity &&
+           relative_error(ratio, target_ratio) <= similarity;
+  };
+
+  // The exact test's pass band is T ± s·max(|T|, 1e-12) (relative_error's
+  // default eps); the window is that band plus the slack.
+  const double half = similarity * std::max(std::abs(target_itr), 1e-12);
+  const double slack = 1e-9 * (std::abs(target_itr) + std::abs(half) + 2.0 * magnitude);
+  double lo = target_itr - half - slack;
+  double hi = target_itr + half + slack;
+  if (!std::isfinite(slack) || std::isnan(lo) || std::isnan(hi)) {
+    lo = -std::numeric_limits<double>::infinity();
+    hi = std::numeric_limits<double>::infinity();
+  }
+
+  for (std::size_t a = 0; a + 1 < n; ++a) {
+    std::size_t best_b = n;
+    if (!std::isfinite(x[a])) {
+      for (std::size_t b = a + 1; b < n && best_b == n; ++b)
+        if (matches(a, b)) best_b = b;
+      if (best_b != n) return {a, best_b};
+      continue;
+    }
+    const auto first = std::lower_bound(
+        by_x.begin(), by_x.end(), lo - x[a],
+        [](const std::pair<double, std::size_t>& e, double v) { return e.first < v; });
+    const auto last = std::upper_bound(
+        first, by_x.end(), hi - x[a],
+        [](double v, const std::pair<double, std::size_t>& e) { return v < e.first; });
+    for (auto it = first; it != last; ++it) {
+      const std::size_t b = it->second;
+      if (b > a && b < best_b && matches(a, b)) best_b = b;
+    }
+    for (std::size_t b : wild)
+      if (b > a && b < best_b && matches(a, b)) best_b = b;
+    if (best_b != n) return {a, best_b};
+  }
+  return none;
 }
 
 }  // namespace
@@ -93,23 +183,15 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
 
   // (2) A bunch (pair) of idle jobs whose *sums* match the finished job:
   // total iteration time within 5 % and summed comp/comm ratio within 5 %.
-  const double target_itr = finished.profile.t_itr(dop);
-  const double target_ratio = finished.profile.comp_ratio(dop);
-  for (std::size_t a = 0; a < idle.size(); ++a) {
-    for (std::size_t b = a + 1; b < idle.size(); ++b) {
-      const double sum_cpu = idle[a].profile.t_cpu(dop) + idle[b].profile.t_cpu(dop);
-      const double sum_net = idle[a].profile.t_net + idle[b].profile.t_net;
-      const double sum_itr = sum_cpu + sum_net;
-      const double ratio = sum_itr > 0.0 ? sum_cpu / sum_itr : 0.0;
-      if (relative_error(sum_itr, target_itr) <= params_.similarity &&
-          relative_error(ratio, target_ratio) <= params_.similarity) {
-        action.kind = RegroupAction::Kind::kReplace;
-        action.group_index = group_index;
-        action.replacements = {idle[a], idle[b]};
-        count_action("regrouper.finish_replace");
-        return action;
-      }
-    }
+  const auto [a, b] =
+      first_matching_pair(idle, dop, finished.profile.t_itr(dop),
+                          finished.profile.comp_ratio(dop), params_.similarity);
+  if (a < idle.size()) {
+    action.kind = RegroupAction::Kind::kReplace;
+    action.group_index = group_index;
+    action.replacements = {idle[a], idle[b]};
+    count_action("regrouper.finish_replace");
+    return action;
   }
 
   // (3) Involve other groups, smallest-first, via Algorithm 1. We grow the

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -274,9 +275,14 @@ TEST(ClusterSimValidate, HealthyRunIsCleanAtEveryRegroupEvent) {
 }
 
 struct CorruptionCase {
+  CorruptionCase(exp::ClusterSim::Corruption k, const char* n) : kind(k), needle(n) {}
   exp::ClusterSim::Corruption kind;
+  // gtest prints the parameter's raw bytes into the test name; an explicit
+  // zero field where padding would be keeps those bytes deterministic.
+  std::uint32_t zero = 0;
   const char* needle;  // the report must name the broken invariant
 };
+static_assert(sizeof(CorruptionCase) == sizeof(std::uint32_t) * 2 + sizeof(const char*));
 
 class ClusterSimCorruption : public ::testing::TestWithParam<CorruptionCase> {};
 
@@ -310,7 +316,10 @@ INSTANTIATE_TEST_SUITE_P(
         CorruptionCase{exp::ClusterSim::Corruption::kSkewedSpillAlpha,
                        "disk ratio out of range"},
         CorruptionCase{exp::ClusterSim::Corruption::kBrokenMembership,
-                       "bidirectional"}));
+                       "bidirectional"},
+        CorruptionCase{exp::ClusterSim::Corruption::kSwappedIdleOrder,
+                       "broken submit order"},
+        CorruptionCase{exp::ClusterSim::Corruption::kStaleSchedView, "stale view"}));
 
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
@@ -323,6 +332,41 @@ TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   const auto report = sim.validate_state();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.mentions("bad index entry")) << report.to_string();
+}
+
+TEST(ClusterSimValidate, ArrivalsOutOfIdOrderValidateClean) {
+  // The built-in arrival generators emit submit times in id order, which
+  // hides whether the submit-ordered indexes really order by submit time.
+  // Reversed arrivals make the two orders disagree.
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 16;
+  config.validate = true;
+  auto workload = small_workload(12);
+  std::vector<double> arrivals(workload.size());
+  for (std::size_t i = 0; i < arrivals.size(); ++i)
+    arrivals[i] = 300.0 * static_cast<double>(arrivals.size() - 1 - i);
+  exp::ClusterSim sim(config, workload, arrivals);
+  const auto summary = sim.run();
+  EXPECT_EQ(summary.jobs.size(), workload.size());
+  EXPECT_GT(sim.validations_run(), 0u);
+}
+
+TEST(ClusterSimValidate, ParkedModelSpilledJobValidatesClean) {
+  // Ten machines for thirty Table I jobs: memory is tight enough that some
+  // jobs run pinned at α = 1 with their model spilled, and regroups park
+  // them. Parking must clear the model-spill flag along with α, or the next
+  // validation pass finds "model spill active at alpha = 0".
+  exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
+  config.machines = 10;
+  config.validate = true;
+  auto workload = exp::make_catalog();
+  workload.resize(30);
+  exp::ClusterSim sim(config, workload, exp::batch_arrivals(workload.size()));
+  const auto summary = sim.run();
+  EXPECT_EQ(summary.jobs.size(), workload.size());
+  EXPECT_GT(sim.validations_run(), 0u);
+  EXPECT_GT(sim.alpha_stats().jobs_at_one, 0u);
+  EXPECT_TRUE(sim.validate_state().ok()) << sim.validate_state().to_string();
 }
 
 TEST(ClusterSimValidate, ValidationOffRunsNoPasses) {
