@@ -71,11 +71,13 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
       naive_(baselines::NaiveScheduler::Params{config.naive_jobs_per_group}),
       profiler_(core::Profiler::Params{0.3, config.profiling_iterations}),
       rng_(config.seed),
-      sim_(config.event_queue),
       free_machines_(config.machines),
       timeline_(config.util_sample_window_sec) {
   if (arrivals_.size() != workload.size())
     throw std::invalid_argument("ClusterSim: arrivals/workload size mismatch");
+  // With no machines no job can ever be placed, so run() would never finish.
+  if (config_.machines == 0)
+    throw std::invalid_argument("ClusterSim: machines must be positive");
   const std::size_t n = workload.size();
   // Reserve exactly: jobs_ must never reallocate (event callbacks capture
   // SimJob addresses).

@@ -13,21 +13,7 @@ struct NodeAfter {
   }
 };
 
-
-bool node_is_stale(const EventArena& arena, const EventNode& n) noexcept {
-  return !arena.is_live(n.slot, n.gen);
-}
-
-std::size_t round_up_pow2(std::size_t n) noexcept {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// BinaryHeapQueue
 
 void BinaryHeapQueue::push(const EventNode& n) {
   heap_.push_back(n);
@@ -44,7 +30,7 @@ bool BinaryHeapQueue::pop_min(EventNode& out) {
 
 void BinaryHeapQueue::compact(const EventArena& arena) {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [&](const EventNode& n) { return node_is_stale(arena, n); }),
+                             [&](const EventNode& n) { return !arena.is_live(n.slot, n.gen); }),
               heap_.end());
   std::make_heap(heap_.begin(), heap_.end(), NodeAfter{});
 }
@@ -72,267 +58,6 @@ void BinaryHeapQueue::corrupt_order_for_test() {
 void BinaryHeapQueue::push_duplicate_for_test() {
   if (heap_.empty()) return;
   push(heap_.front());
-}
-
-// ---------------------------------------------------------------------------
-// CalendarQueue
-
-CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
-
-double CalendarQueue::adapted_width() const noexcept {
-  if (!have_gap_) return width_;
-  // Aim for a couple of events per bucket at the observed event density.
-  double w = 2.0 * gap_ewma_;
-  if (w < 1e-9) w = 1e-9;
-  if (w > 1e15) w = 1e15;
-  return w;
-}
-
-void CalendarQueue::insert_into_window(const EventNode& n) {
-  const double di = bucket_index(n.time);
-  if (di >= static_cast<double>(buckets_.size())) {
-    far_.push_back(n);
-    std::push_heap(far_.begin(), far_.end(), NodeAfter{});
-    return;
-  }
-  std::size_t b = cur_;
-  if (di > static_cast<double>(cur_)) b = static_cast<std::size_t>(di);
-  ++in_buckets_;
-  std::vector<EventNode>& bk = buckets_[b];
-  bk.push_back(n);
-  if (b == cur_ && cur_heaped_) std::push_heap(bk.begin(), bk.end(), NodeAfter{});
-}
-
-void CalendarQueue::rebuild(std::size_t nb, double width) {
-  std::vector<EventNode> all;
-  all.reserve(count_);
-  for (std::vector<EventNode>& bucket : buckets_) {
-    all.insert(all.end(), bucket.begin(), bucket.end());
-    bucket.clear();
-  }
-  all.insert(all.end(), far_.begin(), far_.end());
-  far_.clear();
-
-  buckets_.resize(nb);
-  width_ = width;
-  cur_ = 0;
-  cur_heaped_ = false;
-  in_buckets_ = 0;
-  pops_since_rebuild_ = 0;
-
-  double min_time = 0.0;
-  bool first = true;
-  for (const EventNode& n : all) {
-    if (first || n.time < min_time) min_time = n.time;
-    first = false;
-  }
-  win_start_ = min_time;
-  for (const EventNode& n : all) insert_into_window(n);
-}
-
-void CalendarQueue::turnover() {
-  win_start_ += width_ * static_cast<double>(buckets_.size());
-  cur_ = 0;
-  cur_heaped_ = false;
-  if (far_.empty()) return;
-  // Pull newly in-window far nodes into buckets.
-  std::size_t kept = 0;
-  const double nb = static_cast<double>(buckets_.size());
-  for (std::size_t i = 0; i < far_.size(); ++i) {
-    const EventNode n = far_[i];
-    if (bucket_index(n.time) < nb) {
-      std::size_t b = cur_;
-      const double di = bucket_index(n.time);
-      if (di > static_cast<double>(cur_)) b = static_cast<std::size_t>(di);
-      buckets_[b].push_back(n);
-      ++in_buckets_;
-    } else {
-      far_[kept++] = n;
-    }
-  }
-  far_.resize(kept);
-  std::make_heap(far_.begin(), far_.end(), NodeAfter{});
-}
-
-void CalendarQueue::push(const EventNode& n) {
-  ++count_;
-  insert_into_window(n);
-  if (in_buckets_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    const std::size_t nb = round_up_pow2(std::min(in_buckets_, kMaxBuckets));
-    if (nb != buckets_.size()) rebuild(nb, adapted_width());
-  }
-}
-
-bool CalendarQueue::pop_min(EventNode& out) {
-  if (count_ == 0) return false;
-  for (;;) {
-    if (in_buckets_ == 0) {
-      // Everything pending sits beyond the window: re-anchor it at the far
-      // minimum (this is the "jump" that skips idle stretches in O(n)).
-      const std::size_t nb =
-          std::min(std::max(round_up_pow2(count_), kMinBuckets), kMaxBuckets);
-      rebuild(nb, adapted_width());
-      continue;  // win_start_ is now the far minimum, so a bucket is occupied
-    }
-    // A long-lived steady-state population never triggers the grow/shrink
-    // rebuilds, so the width set at the last rebuild can drift arbitrarily
-    // far from the observed event density (and with it the per-bucket
-    // population). Retune when it is off by 16x in either direction. The
-    // band must sit far above the EWMA's own noise — exponential inter-pop
-    // gaps swing the average across a 4x band routinely, and every false
-    // trigger costs an O(n) redistribution — while real degeneration (a
-    // width stuck at the wrong time scale) is off by orders of magnitude.
-    // The pops-since-rebuild floor scales with the population so retunes
-    // stay amortized O(1) per pop even if the density genuinely oscillates.
-    if (have_gap_ && pops_since_rebuild_ >= std::max(kRetuneMinPops, count_ / 8)) {
-      const double w = adapted_width();
-      if (width_ > 16.0 * w || width_ < 0.0625 * w) {
-        const std::size_t nb =
-            std::min(std::max(round_up_pow2(count_), kMinBuckets), kMaxBuckets);
-        rebuild(nb, w);
-        continue;
-      }
-    }
-    std::vector<EventNode>& bk = buckets_[cur_];
-    if (bk.empty()) {
-      cur_heaped_ = false;
-      ++cur_;
-      if (cur_ == buckets_.size()) turnover();
-      continue;
-    }
-    if (!cur_heaped_ && bk.size() > kHeapThreshold) {
-      std::make_heap(bk.begin(), bk.end(), NodeAfter{});
-      cur_heaped_ = true;
-    }
-    if (cur_heaped_) {
-      std::pop_heap(bk.begin(), bk.end(), NodeAfter{});
-      out = bk.back();
-      bk.pop_back();
-    } else {
-      std::size_t min_i = 0;
-      for (std::size_t i = 1; i < bk.size(); ++i)
-        if (node_before(bk[i], bk[min_i])) min_i = i;
-      out = bk[min_i];
-      bk[min_i] = bk.back();
-      bk.pop_back();
-    }
-    --in_buckets_;
-    --count_;
-    ++pops_since_rebuild_;
-    if (have_pop_) {
-      const double gap = out.time - last_pop_time_;
-      if (gap > 0.0) {
-        gap_ewma_ = have_gap_ ? gap_ewma_ + 0.125 * (gap - gap_ewma_) : gap;
-        have_gap_ = true;
-      }
-    }
-    last_pop_time_ = out.time;
-    have_pop_ = true;
-    // Shrink a sparse calendar; amortized O(1) (>= 3/8 of the old population
-    // was popped since the structure last fit).
-    if (count_ > 0 && count_ * 8 < buckets_.size() && buckets_.size() > kMinBuckets) {
-      const std::size_t nb = std::max(round_up_pow2(count_), kMinBuckets);
-      if (nb != buckets_.size()) rebuild(nb, adapted_width());
-    }
-    return true;
-  }
-}
-
-void CalendarQueue::compact(const EventArena& arena) {
-  for (std::vector<EventNode>& bucket : buckets_) {
-    const auto old = bucket.size();
-    bucket.erase(
-        std::remove_if(bucket.begin(), bucket.end(),
-                       [&](const EventNode& n) { return node_is_stale(arena, n); }),
-        bucket.end());
-    in_buckets_ -= old - bucket.size();
-    count_ -= old - bucket.size();
-  }
-  // Removing from the middle breaks the serving bucket's heap property.
-  if (cur_heaped_)
-    std::make_heap(buckets_[cur_].begin(), buckets_[cur_].end(), NodeAfter{});
-  const auto old_far = far_.size();
-  far_.erase(std::remove_if(far_.begin(), far_.end(),
-                            [&](const EventNode& n) { return node_is_stale(arena, n); }),
-             far_.end());
-  count_ -= old_far - far_.size();
-  std::make_heap(far_.begin(), far_.end(), NodeAfter{});
-}
-
-void CalendarQueue::validate_structure(check::Validation& v) const {
-  std::size_t in_buckets = 0;
-  for (const auto& bucket : buckets_) in_buckets += bucket.size();
-  HARMONY_VALIDATE(v, in_buckets == in_buckets_)
-      << "calendar bucket population is " << in_buckets << " but the cached count says "
-      << in_buckets_;
-  HARMONY_VALIDATE(v, count_ == in_buckets_ + far_.size())
-      << "calendar count " << count_ << " != " << in_buckets_ << " bucket nodes + "
-      << far_.size() << " far nodes";
-  const double nb = static_cast<double>(buckets_.size());
-  for (std::size_t b = 0; b < buckets_.size(); ++b) {
-    if (b < cur_)
-      HARMONY_VALIDATE(v, buckets_[b].empty())
-          << "consumed calendar bucket " << b << " still holds " << buckets_[b].size()
-          << " nodes (cursor is at " << cur_ << ")";
-    for (const EventNode& n : buckets_[b]) {
-      const double di = bucket_index(n.time);
-      HARMONY_VALIDATE(v, di < nb)
-          << "calendar bucket " << b << " holds event at t=" << n.time
-          << " that belongs beyond the window (far ladder)";
-      // Inserts clamp early times onto the cursor bucket; anything else must
-      // sit exactly where its time maps.
-      HARMONY_VALIDATE(v,
-                       b == cur_ || (di >= 0.0 && static_cast<std::size_t>(di) == b))
-          << "event at t=" << n.time << " sits in the wrong calendar bucket " << b
-          << " (maps to " << di << ", cursor " << cur_ << ")";
-    }
-  }
-  for (std::size_t i = 0; i < far_.size(); ++i) {
-    const EventNode& n = far_[i];
-    HARMONY_VALIDATE(v, bucket_index(n.time) >= nb)
-        << "far ladder holds event at t=" << n.time << " that maps inside the window";
-    if (i > 0) {
-      const EventNode& parent = far_[(i - 1) / 2];
-      HARMONY_VALIDATE(v, !node_before(n, parent))
-          << "far-ladder heap property violated between nodes " << (i - 1) / 2 << " and "
-          << i;
-    }
-  }
-}
-
-void CalendarQueue::corrupt_order_for_test() {
-  for (std::size_t b = cur_; b < buckets_.size(); ++b) {
-    if (buckets_[b].empty()) continue;
-    const EventNode n = buckets_[b].back();
-    buckets_[b].pop_back();
-    if (b + 1 < buckets_.size()) {
-      buckets_[b + 1].push_back(n);  // wrong bucket: maps to b, stored in b+1
-    } else {
-      --in_buckets_;
-      far_.push_back(n);  // in-window event hidden in the far ladder
-      std::push_heap(far_.begin(), far_.end(), NodeAfter{});
-    }
-    return;
-  }
-  if (!far_.empty()) {
-    // All nodes are far: surface one into the serving bucket, where its
-    // beyond-window time is out of place.
-    std::pop_heap(far_.begin(), far_.end(), NodeAfter{});
-    const EventNode n = far_.back();
-    far_.pop_back();
-    buckets_[cur_].push_back(n);
-    ++in_buckets_;
-  }
-}
-
-void CalendarQueue::push_duplicate_for_test() {
-  for (const auto& bucket : buckets_) {
-    if (!bucket.empty()) {
-      push(bucket.front());
-      return;
-    }
-  }
-  if (!far_.empty()) push(far_.front());
 }
 
 }  // namespace harmony::sim

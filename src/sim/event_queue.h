@@ -1,4 +1,4 @@
-// Pending-event priority queues for the DES core.
+// Pending-event priority queue for the DES core.
 //
 // A queue node is 24 bytes of plain data: fire time, a global sequence number
 // (FIFO tie-break for same-instant events — the determinism contract the
@@ -7,20 +7,12 @@
 // no longer matches its arena slot is an orphan and is dropped when popped,
 // or swept out by compact() when orphans pile up.
 //
-// Two interchangeable implementations serve the same (time, seq) pop order:
-//
-//  * BinaryHeapQueue — std::push_heap/pop_heap, O(log n) per op. The
-//    reference implementation: simple enough to trust, kept selectable so
-//    golden runs can cross-check the calendar queue bit for bit.
-//
-//  * CalendarQueue — O(1) amortized bucketed queue (Brown's calendar queue
-//    with a non-wrapping window plus a far-future spill ladder). Events
-//    beyond the current bucket window wait in a min-heap "ladder" and are
-//    pulled into buckets as the window advances; bucket width adapts to the
-//    observed inter-pop gap, and bucket count to the population.
+// The queue is a binary min-heap (std::push_heap/pop_heap, O(log n) per op).
+// A simulation's pending population is bounded by its scheduled arrivals plus
+// in-flight subtasks, so the heap is never deep enough for an O(1) bucketed
+// queue to pay for its extra code (DESIGN.md, "Event queue & memory layout").
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -67,73 +59,6 @@ class BinaryHeapQueue {
 
  private:
   std::vector<EventNode> heap_;
-};
-
-class CalendarQueue {
- public:
-  CalendarQueue();
-  void push(const EventNode& n);
-  bool pop_min(EventNode& out);
-  std::size_t size() const noexcept { return count_; }
-  void compact(const EventArena& arena);
-
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const auto& bucket : buckets_)
-      for (const EventNode& n : bucket) f(n);
-    for (const EventNode& n : far_) f(n);
-  }
-
-  void validate_structure(check::Validation& v) const;
-  // Moves one node into a calendar bucket it does not belong to, so
-  // validate_structure can demonstrate detection of a misplaced node.
-  void corrupt_order_for_test();
-  void push_duplicate_for_test();
-
- private:
-  // Bucket index of `t` as a double: floor((t - win_start_) / width_).
-  // Monotone in t (same subtraction and positive divisor), so bucket order
-  // respects time order even at floating-point boundaries. Values >= the
-  // bucket count mean "beyond the window" (far ladder); negative values are
-  // clamped onto the cursor bucket at insert.
-  double bucket_index(double t) const noexcept {
-    return std::floor((t - win_start_) / width_);
-  }
-
-  void insert_into_window(const EventNode& n);
-  // Collects every node and redistributes it over `nb` buckets of `width`,
-  // with the window re-anchored at the earliest pending time.
-  void rebuild(std::size_t nb, double width);
-  // Advances the window one span and pulls newly in-window far nodes in.
-  void turnover();
-  double adapted_width() const noexcept;
-
-  std::vector<std::vector<EventNode>> buckets_;
-  std::vector<EventNode> far_;  // min-heap by node_before, times beyond window
-  double width_ = 1.0;
-  double win_start_ = 0.0;
-  std::size_t cur_ = 0;         // buckets below cur_ are consumed (empty)
-  std::size_t in_buckets_ = 0;  // nodes across buckets_ (count_ - far_.size())
-  std::size_t count_ = 0;
-  // Serving bucket turned into a binary min-heap once it crosses
-  // kHeapThreshold: O(log k) pops and inserts instead of O(k) scans, and —
-  // unlike a sorted vector — no O(k) memmove when a fired event schedules a
-  // successor back into the bucket being served. Keys (time, seq) are unique,
-  // so heap pops give the same total order a sort would.
-  bool cur_heaped_ = false;
-  // Deterministic width adaptation: EWMA of inter-pop gaps in simulated time.
-  double last_pop_time_ = 0.0;
-  double gap_ewma_ = 0.0;
-  bool have_pop_ = false;
-  bool have_gap_ = false;
-  // Pops since the last rebuild; retuning the width costs O(n), so pop_min
-  // only considers it after enough pops to amortize (see kRetuneMinPops).
-  std::size_t pops_since_rebuild_ = 0;
-
-  static constexpr std::size_t kMinBuckets = 16;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
-  static constexpr std::size_t kHeapThreshold = 32;
-  static constexpr std::size_t kRetuneMinPops = 128;
 };
 
 }  // namespace harmony::sim

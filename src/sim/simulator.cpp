@@ -4,32 +4,11 @@
 
 namespace harmony::sim {
 
-void Simulator::push_node(const EventNode& n) {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.push(n);
-  else
-    heap_.push(n);
-}
-
-bool Simulator::pop_node(EventNode& out) {
-  if (queue_kind_ == EventQueueKind::kCalendar) return calendar_.pop_min(out);
-  return heap_.pop_min(out);
-}
-
-std::size_t Simulator::queue_nodes() const noexcept {
-  return queue_kind_ == EventQueueKind::kCalendar ? calendar_.size() : heap_.size();
-}
-
 void Simulator::maybe_compact() {
   // Lazy deletion leaves the cancelled node behind; sweep the orphans out
   // once they outnumber the live events (the +64 floor avoids thrashing tiny
   // queues). Pop order is unaffected — survivors keep their (time, seq) keys.
-  if (queue_nodes() > 2 * arena_.live() + 64) {
-    if (queue_kind_ == EventQueueKind::kCalendar)
-      calendar_.compact(arena_);
-    else
-      heap_.compact(arena_);
-  }
+  if (queue_nodes() > 2 * arena_.live() + 64) heap_.compact(arena_);
 }
 
 void Simulator::cancel(EventId id) {
@@ -42,7 +21,7 @@ void Simulator::cancel(EventId id) {
 
 bool Simulator::step() {
   EventNode node;
-  while (pop_node(node)) {
+  while (heap_.pop_min(node)) {
     if (!arena_.begin_fire(node.slot, node.gen)) continue;  // cancelled orphan
     // Pops must be time-monotonic or causality breaks silently downstream.
     HARMONY_DCHECK(node.time >= now_)
@@ -63,12 +42,12 @@ void Simulator::run(std::uint64_t max_events) {
 
 void Simulator::run_until(double t) {
   EventNode node;
-  while (pop_node(node)) {
+  while (heap_.pop_min(node)) {
     if (!arena_.is_live(node.slot, node.gen)) continue;  // drop orphans cheaply
     if (node.time > t) {
       // Went one past the horizon: re-insert. The node keeps its (time, seq)
       // key, so FIFO order within its instant is preserved.
-      push_node(node);
+      heap_.push(node);
       break;
     }
     if (!arena_.begin_fire(node.slot, node.gen)) continue;
@@ -84,7 +63,7 @@ void Simulator::run_until(double t) {
 
 void Simulator::validate(check::Validation& v) const {
   // Brute-force recount of queue nodes per live event, and the true minimum
-  // over live pending events — on whichever queue implementation is active.
+  // over live pending events.
   std::vector<std::uint8_t> node_count(arena_.slots(), 0);
   std::size_t live_nodes = 0;
   const EventNode* min_live = nullptr;
@@ -98,10 +77,7 @@ void Simulator::validate(check::Validation& v) const {
       min_live = &min_copy;
     }
   };
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.for_each(visit);
-  else
-    heap_.for_each(visit);
+  heap_.for_each(visit);
 
   HARMONY_VALIDATE(v, live_nodes == arena_.live())
       << "arena holds " << arena_.live() << " live events but the queue holds nodes for "
@@ -115,24 +91,7 @@ void Simulator::validate(check::Validation& v) const {
         << "clock " << now_ << " ran past pending event " << min_live->seq << " at "
         << min_live->time << " (event-queue pops would be non-monotonic)";
   }
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.validate_structure(v);
-  else
-    heap_.validate_structure(v);
-}
-
-void Simulator::corrupt_queue_order_for_test() {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.corrupt_order_for_test();
-  else
-    heap_.corrupt_order_for_test();
-}
-
-void Simulator::corrupt_queue_duplicate_for_test() {
-  if (queue_kind_ == EventQueueKind::kCalendar)
-    calendar_.push_duplicate_for_test();
-  else
-    heap_.push_duplicate_for_test();
+  heap_.validate_structure(v);
 }
 
 }  // namespace harmony::sim

@@ -8,11 +8,9 @@
 //
 // Internally an event is two pieces: the callback payload lives in an
 // EventArena slot (slab storage, no per-event heap allocation) and a 24-byte
-// EventNode in the priority queue carries (time, seq, arena handle). Two
-// queue implementations are selectable at construction — a binary heap (the
-// reference) and a calendar queue (O(1) amortized, the default) — with an
-// identical pop order: earliest time first, then scheduling order. The
-// golden-determinism tests pin that both produce bit-identical runs.
+// EventNode in a binary min-heap carries (time, seq, arena handle). Pop order
+// is earliest time first, then scheduling order; the golden-determinism tests
+// pin it.
 #pragma once
 
 #include <cstddef>
@@ -31,19 +29,14 @@ namespace harmony::sim {
 using EventId = std::uint64_t;
 constexpr EventId kInvalidEvent = 0;
 
-enum class EventQueueKind : std::uint8_t { kBinaryHeap, kCalendar };
-
 class Simulator {
  public:
-  explicit Simulator(EventQueueKind queue = EventQueueKind::kCalendar)
-      : queue_kind_(queue) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   // Current simulated time in seconds.
   double now() const noexcept { return now_; }
-
-  EventQueueKind queue_kind() const noexcept { return queue_kind_; }
 
   // Schedules `cb` (any void() callable; captured state moves into the event
   // arena) at absolute time `t` (must be >= now). Events scheduled for the
@@ -52,7 +45,7 @@ class Simulator {
   EventId schedule_at(double t, F&& cb) {
     if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
     const EventArena::Handle h = arena_.emplace(std::forward<F>(cb));
-    push_node(EventNode{t, next_seq_++, h.slot, h.gen});
+    heap_.push(EventNode{t, next_seq_++, h.slot, h.gen});
     return (static_cast<EventId>(h.gen) << 32) | h.slot;
   }
   template <typename F>
@@ -84,32 +77,26 @@ class Simulator {
   std::size_t pending() const noexcept { return arena_.live(); }
   // Queue nodes including cancelled orphans awaiting a pop or a compaction;
   // bounded at 2 * pending() + a constant (see cancel()).
-  std::size_t queue_nodes() const noexcept;
+  std::size_t queue_nodes() const noexcept { return heap_.size(); }
 
   // Deep validator: cross-checks the incrementally maintained queue state
   // against a brute-force scan — every live event has exactly one queue node,
   // the queue minimum over live events is >= the clock (pops are therefore
-  // time-monotonic), and the active implementation's structural invariants
-  // (heap property / calendar bucket placement) hold.
+  // time-monotonic), and the heap property holds.
   void validate(check::Validation& v) const;
 
   // Test-only corruption hook: forces the clock to `t` without draining the
   // queue, so validate() can demonstrate detection of a non-monotonic state.
   void corrupt_clock_for_test(double t) noexcept { now_ = t; }
   // Test-only corruption hooks for the queue structure: misorder a node
-  // (heap-property / bucket-placement breakage) or duplicate one (recount
-  // breakage).
-  void corrupt_queue_order_for_test();
-  void corrupt_queue_duplicate_for_test();
+  // (heap-property breakage) or duplicate one (recount breakage).
+  void corrupt_queue_order_for_test() { heap_.corrupt_order_for_test(); }
+  void corrupt_queue_duplicate_for_test() { heap_.push_duplicate_for_test(); }
 
  private:
-  void push_node(const EventNode& n);
-  bool pop_node(EventNode& out);
   void maybe_compact();
 
-  EventQueueKind queue_kind_;
   BinaryHeapQueue heap_;
-  CalendarQueue calendar_;
   EventArena arena_;
 
   double now_ = 0.0;

@@ -31,7 +31,7 @@ class CliTest(unittest.TestCase):
         proc = run("--help")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         for flag in ("--policy", "--jobs", "--machines", "--arrival", "--seed",
-                     "--event-queue", "--validate", "--metrics",
+                     "--validate", "--metrics",
                      # service mode
                      "--service", "--duration", "--arrival-rate", "--admission",
                      "--queue-cap", "--drift",
@@ -51,11 +51,42 @@ class CliTest(unittest.TestCase):
 
     def test_unknown_option_is_named(self):
         self.assert_named_error("--frobnicate", "--frobnicate")
+        # The simulator has one event queue; the old selector is gone.
+        self.assert_named_error("--event-queue", "--event-queue", "heap")
+
+    def test_malformed_numbers_are_named(self):
+        # Trailing junk, signs on unsigned flags, non-finite and non-positive
+        # values must all be usage errors naming the flag, never an abort, a
+        # silently truncated value or a wrapped-around unsigned.
+        for flag, args in (
+                ("--jobs", ("--jobs", "abc")),
+                ("--jobs", ("--jobs", "1e3")),
+                ("--seed", ("--seed", "x")),
+                ("--naive-seed", ("--policy", "naive", "--naive-seed", "-1")),
+                ("--machines", ("--machines", "-5")),
+                ("--arrival", ("--arrival", "poisson:abc")),
+                ("--arrival", ("--arrival", "trace:inf")),
+                ("--error", ("--error", "nan")),
+                ("--error", ("--error", "2")),
+                ("--queue-cap", ("--service", "--queue-cap", "-1")),
+                ("--duration", ("--service", "--duration", "nan")),
+                ("--duration", ("--service", "--duration", "inf")),
+                ("--arrival-rate", ("--service", "--arrival-rate", "0")),
+                ("--drift", ("--service", "--drift", "-0.1")),
+                ("--telemetry-interval",
+                 ("--service", "--telemetry-interval", "nan")),
+                ("--arrival", ("--service", "--arrival", "poisson:0")),
+        ):
+            with self.subTest(args=args):
+                self.assert_named_error(flag, *args)
+
+    def test_zero_machines_is_named(self):
+        self.assert_named_error("--machines", "--machines", "0", "--jobs", "3")
+        self.assert_named_error("--machines", "--service", "--machines", "0")
 
     def test_unknown_enum_values_are_named(self):
         self.assert_named_error("bogus", "--policy", "bogus")
         self.assert_named_error("wheel", "--service", "--admission", "wheel")
-        self.assert_named_error("skiplist", "--event-queue", "skiplist")
         self.assert_named_error("uniform", "--arrival", "uniform:3")
 
     def test_missing_value_is_named(self):

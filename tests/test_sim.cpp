@@ -87,14 +87,11 @@ TEST(Simulator, MaxEventsGuard) {
 }
 
 // ---------------------------------------------------------------------------
-// Behaviour pinned across both event-queue implementations. The calendar
-// queue is the default; the binary heap is the reference — every observable
-// (fire order, clock, cancellation semantics) must be identical.
+// Event-queue behaviour: (time, seq) pop order, run_until re-insertion,
+// cancellation and orphan compaction.
 
-class QueueKinds : public ::testing::TestWithParam<EventQueueKind> {};
-
-TEST_P(QueueKinds, FireOrderAndFifoTieBreak) {
-  Simulator sim(GetParam());
+TEST(EventQueue, FireOrderAndFifoTieBreak) {
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(2.0, [&] { order.push_back(20); });
   sim.schedule_at(1.0, [&] { order.push_back(10); });
@@ -106,10 +103,10 @@ TEST_P(QueueKinds, FireOrderAndFifoTieBreak) {
   EXPECT_DOUBLE_EQ(sim.now(), 2.0);
 }
 
-TEST_P(QueueKinds, FarFutureEventsFireInOrder) {
-  // Exercises the calendar queue's far ladder: timestamps spanning ten
-  // orders of magnitude, interleaved with near-term work.
-  Simulator sim(GetParam());
+TEST(EventQueue, FarFutureEventsFireInOrder) {
+  // Timestamps spanning ten orders of magnitude, interleaved with near-term
+  // work.
+  Simulator sim;
   std::vector<double> fired;
   for (double t : {1e9, 0.25, 3e6, 2.0, 7e4, 0.5, 1e9, 12.0})
     sim.schedule_at(t, [&fired, &sim] { fired.push_back(sim.now()); });
@@ -118,10 +115,10 @@ TEST_P(QueueKinds, FarFutureEventsFireInOrder) {
   EXPECT_EQ(fired, want);
 }
 
-TEST_P(QueueKinds, RunUntilDoesNotDisturbTieOrder) {
+TEST(EventQueue, RunUntilDoesNotDisturbTieOrder) {
   // run_until pops one event past the horizon and re-inserts it; the
   // re-inserted node must keep its place among same-instant peers.
-  Simulator sim(GetParam());
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(5.0, [&] { order.push_back(1); });
   sim.schedule_at(5.0, [&] { order.push_back(2); });
@@ -133,8 +130,8 @@ TEST_P(QueueKinds, RunUntilDoesNotDisturbTieOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST_P(QueueKinds, CancelledEventsNeverFire) {
-  Simulator sim(GetParam());
+TEST(EventQueue, CancelledEventsNeverFire) {
+  Simulator sim;
   int fired = 0;
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i)
@@ -145,10 +142,10 @@ TEST_P(QueueKinds, CancelledEventsNeverFire) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST_P(QueueKinds, SelfCancelDuringFireIsNoop) {
+TEST(EventQueue, SelfCancelDuringFireIsNoop) {
   // Cancelling the event that is currently firing, from inside its own
   // callback, must be harmless (the generation already bumped).
-  Simulator sim(GetParam());
+  Simulator sim;
   int fired = 0;
   EventId id = kInvalidEvent;
   id = sim.schedule_at(1.0, [&] {
@@ -160,11 +157,11 @@ TEST_P(QueueKinds, SelfCancelDuringFireIsNoop) {
   EXPECT_TRUE(sim.empty());
 }
 
-TEST_P(QueueKinds, OrphanCompactionBoundsQueueGrowth) {
+TEST(EventQueue, OrphanCompactionBoundsQueueGrowth) {
   // Lazy deletion leaves cancelled nodes in the queue. Aggressive
   // cancel/reschedule churn must not grow the queue without bound: the
   // compaction trigger caps queue nodes at 2 * live + 64.
-  Simulator sim(GetParam());
+  Simulator sim;
   int fired = 0;
   std::vector<EventId> live;
   // A small set of survivors plus a huge churn of cancelled events.
@@ -181,19 +178,19 @@ TEST_P(QueueKinds, OrphanCompactionBoundsQueueGrowth) {
   EXPECT_EQ(fired, 8);
 }
 
-TEST_P(QueueKinds, ValidatorCleanOnBusyQueue) {
-  Simulator sim(GetParam());
+TEST(EventQueue, ValidatorCleanOnBusyQueue) {
+  Simulator sim;
   for (int i = 0; i < 500; ++i) sim.schedule_at(0.5 * i, [] {});
   for (double t : {1e7, 2e9, 5e4}) sim.schedule_at(t, [] {});
-  // Drain a prefix so calendar buckets have been consumed and rotated.
+  // Drain a prefix so the heap has been popped and re-sifted.
   sim.run(200);
   check::Validation v("sim");
   sim.validate(v);
   EXPECT_TRUE(v.report().ok()) << v.report().to_string();
 }
 
-TEST_P(QueueKinds, ValidatorDetectsClockCorruption) {
-  Simulator sim(GetParam());
+TEST(EventQueue, ValidatorDetectsClockCorruption) {
+  Simulator sim;
   sim.schedule_at(5.0, [] {});
   sim.corrupt_clock_for_test(100.0);
   check::Validation v("sim");
@@ -203,14 +200,6 @@ TEST_P(QueueKinds, ValidatorDetectsClockCorruption) {
   EXPECT_NE(report.to_string().find("ran past pending event"), std::string::npos)
       << report.to_string();
 }
-
-INSTANTIATE_TEST_SUITE_P(BothQueues, QueueKinds,
-                         ::testing::Values(EventQueueKind::kBinaryHeap,
-                                           EventQueueKind::kCalendar),
-                         [](const ::testing::TestParamInfo<EventQueueKind>& info) {
-                           return info.param == EventQueueKind::kCalendar ? "Calendar"
-                                                                          : "BinaryHeap";
-                         });
 
 // ---------------------------------------------------------------------------
 

@@ -23,8 +23,6 @@
 //     --drift F                         full-reschedule drift threshold
 //                                       (default 0.10)
 //     --spill on|off                    data spill/reload     (default on)
-//     --event-queue calendar|heap       simulator event-queue implementation
-//                                       (default calendar; both bit-identical)
 //     --telemetry-out FILE              live telemetry as JSON Lines, one
 //                                       window per line (byte-deterministic)
 //     --telemetry-interval SEC          telemetry window length in sim time
@@ -63,10 +61,14 @@
 //   harmony_sim --policy naive --naive-seed 3
 //   harmony_sim --jobs 20 --machines 40 --arrival poisson:120 --timeline
 //   harmony_sim --jobs 20 --machines 40 --chrome-trace out.json --metrics m.json
+#include <charconv>
+#include <cmath>
 #include <csignal>  // lint: allow-signal-handler (flight-recorder crash hook)
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.h"
@@ -90,7 +92,6 @@ void print_usage(std::FILE* out, const char* argv0) {
                "usage: %s [--policy harmony|isolated|naive] [--jobs N] [--machines M]\n"
                "          [--arrival batch|poisson:SEC|trace:SEC] [--seed S]\n"
                "          [--spill on|off] [--naive-seed S] [--error F]\n"
-               "          [--event-queue calendar|heap]\n"
                "          [--timeline] [--validate] [--trace]\n"
                "          [--chrome-trace FILE] [--metrics FILE] [--report DIR]\n"
                "          [--log-level debug|info|warn|error] [--help]\n"
@@ -98,7 +99,7 @@ void print_usage(std::FILE* out, const char* argv0) {
                "       %s --service [--duration SEC] [--arrival-rate JOBS_PER_SEC]\n"
                "          [--admission fifo|sjf] [--queue-cap N] [--drift F]\n"
                "          [--machines M] [--arrival poisson:SEC|trace:SEC] [--seed S]\n"
-               "          [--event-queue calendar|heap] [--validate] [--metrics FILE]\n"
+               "          [--validate] [--metrics FILE]\n"
                "          [--telemetry-out FILE] [--telemetry-interval SEC]\n"
                "          [--prom-out FILE] [--slo NAME=THRESHOLD]...\n"
                "          [--flight-recorder DIR]\n",
@@ -111,8 +112,24 @@ void print_usage(std::FILE* out, const char* argv0) {
   std::exit(2);
 }
 
-double parse_suffixed(const std::string& value, const std::string& prefix) {
-  return std::stod(value.substr(prefix.size()));
+// Parses the whole of `text` as the value of the numeric flag `flag`.
+// Integer flags take plain decimal digits (no sign, no exponent); floating
+// flags take any finite value >= 0. `positive` also rejects zero. Anything
+// else is a usage error that names the flag.
+template <typename T>
+T parse_number(const char* argv0, const std::string& flag, const std::string& text,
+               bool positive = false) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc{} && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value) && value >= 0;
+  if (positive) ok = ok && value > 0;
+  if (!ok)
+    usage_error(argv0, "invalid value '" + text + "' for " + flag + " (expected a " +
+                           (positive ? "positive" : "non-negative") +
+                           (std::is_integral_v<T> ? " integer)" : " finite number)"));
+  return value;
 }
 
 // Fatal-signal hook: pull the flight recorder's handle, then re-raise with
@@ -165,9 +182,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--policy") {
       policy = next();
     } else if (arg == "--jobs") {
-      jobs = std::stoul(next());
+      jobs = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--machines") {
-      config.machines = std::stoul(next());
+      config.machines = parse_number<std::size_t>(argv[0], arg, next(), true);
       machines_set = true;
     } else if (arg == "--arrival") {
       arrival = next();
@@ -175,41 +192,31 @@ int main(int argc, char** argv) {
     } else if (arg == "--service") {
       service_mode = true;
     } else if (arg == "--duration") {
-      svc_config.duration_sec = std::stod(next());
-      if (svc_config.duration_sec <= 0.0)
-        usage_error(argv[0], "--duration must be positive");
+      svc_config.duration_sec = parse_number<double>(argv[0], arg, next(), true);
     } else if (arg == "--arrival-rate") {
-      const double rate = std::stod(next());
-      if (rate <= 0.0) usage_error(argv[0], "--arrival-rate must be positive");
-      svc_config.mean_interarrival_sec = 1.0 / rate;
+      svc_config.mean_interarrival_sec =
+          1.0 / parse_number<double>(argv[0], arg, next(), true);
     } else if (arg == "--admission") {
       const std::string name = next();
       const auto policy = svc::parse_admission_policy(name);
       if (!policy) usage_error(argv[0], "unknown admission policy '" + name + "'");
       svc_config.admission = *policy;
     } else if (arg == "--queue-cap") {
-      svc_config.queue_capacity = std::stoul(next());
+      svc_config.queue_capacity = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--drift") {
-      svc_config.incremental.drift_threshold = std::stod(next());
-      if (svc_config.incremental.drift_threshold <= 0.0)
-        usage_error(argv[0], "--drift must be positive");
+      svc_config.incremental.drift_threshold =
+          parse_number<double>(argv[0], arg, next(), true);
     } else if (arg == "--seed") {
-      config.seed = std::stoull(next());
+      config.seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--naive-seed") {
-      config.naive_grouping_seed = std::stoull(next());
+      config.naive_grouping_seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--spill") {
       config.spill_enabled = next() == "on";
-    } else if (arg == "--event-queue") {
-      const std::string kind = next();
-      if (kind == "calendar") {
-        config.event_queue = sim::EventQueueKind::kCalendar;
-      } else if (kind == "heap") {
-        config.event_queue = sim::EventQueueKind::kBinaryHeap;
-      } else {
-        usage_error(argv[0], "unknown event queue '" + kind + "'");
-      }
     } else if (arg == "--error") {
-      config.model_error_injection = std::stod(next());
+      // A relative error of 1 or more can drive a profile to zero or below.
+      config.model_error_injection = parse_number<double>(argv[0], arg, next());
+      if (config.model_error_injection >= 1.0)
+        usage_error(argv[0], "--error must be below 1");
     } else if (arg == "--timeline") {
       timeline = true;
     } else if (arg == "--validate") {
@@ -221,9 +228,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry-out") {
       telemetry_out = next();
     } else if (arg == "--telemetry-interval") {
-      telemetry_interval_sec = std::stod(next());
-      if (telemetry_interval_sec <= 0.0)
-        usage_error(argv[0], "--telemetry-interval must be positive");
+      telemetry_interval_sec = parse_number<double>(argv[0], arg, next(), true);
     } else if (arg == "--prom-out") {
       prom_out = next();
     } else if (arg == "--slo") {
@@ -270,25 +275,30 @@ int main(int argc, char** argv) {
     usage_error(argv[0],
                 "--telemetry-out/--telemetry-interval/--prom-out/--slo require --service");
 
+  // --arrival is batch or KIND:SEC, SEC the mean inter-arrival gap. A zero
+  // gap degenerates to batch arrivals, which the open-loop service rejects.
+  std::string arrival_kind = arrival;
+  double arrival_mean_sec = 0.0;
+  if (arrival != "batch") {
+    const std::size_t colon = arrival.find(':');
+    arrival_kind = arrival.substr(0, colon);
+    if (colon == std::string::npos || (arrival_kind != "poisson" && arrival_kind != "trace"))
+      usage_error(argv[0], "unknown arrival process '" + arrival + "'");
+    arrival_mean_sec =
+        parse_number<double>(argv[0], "--arrival", arrival.substr(colon + 1), service_mode);
+  }
+
   if (service_mode) {
     if (arrival_set) {
-      if (arrival.rfind("poisson:", 0) == 0) {
-        svc_config.arrival_kind = "poisson";
-        svc_config.mean_interarrival_sec = parse_suffixed(arrival, "poisson:");
-      } else if (arrival.rfind("trace:", 0) == 0) {
-        svc_config.arrival_kind = "trace";
-        svc_config.mean_interarrival_sec = parse_suffixed(arrival, "trace:");
-      } else if (arrival == "batch") {
+      if (arrival_kind == "batch")
         usage_error(argv[0],
                     "arrival process 'batch' is not open-loop; service mode "
                     "needs poisson:SEC or trace:SEC");
-      } else {
-        usage_error(argv[0], "unknown arrival process '" + arrival + "'");
-      }
+      svc_config.arrival_kind = arrival_kind;
+      svc_config.mean_interarrival_sec = arrival_mean_sec;
     }
     if (machines_set) svc_config.machines = config.machines;
     svc_config.seed = config.seed;
-    svc_config.event_queue = config.event_queue;
     if (config.validate) svc_config.validate_every_events = 256;
     // Keep the equivalence validator meaningful when --drift is raised above
     // the default slack (the Service constructor requires slack > threshold).
@@ -344,27 +354,23 @@ int main(int argc, char** argv) {
     const auto err = config.model_error_injection;
     const auto trace = config.debug_trace;
     const auto validate = config.validate;
-    const auto queue = config.event_queue;
     config = exp::ClusterSimConfig::isolated();
     config.seed = seed;
     config.machines = machines;
     config.model_error_injection = err;
     config.debug_trace = trace;
     config.validate = validate;
-    config.event_queue = queue;
   } else if (policy == "naive") {
     const auto seed = config.seed;
     const auto machines = config.machines;
     const auto gseed = config.naive_grouping_seed;
     const auto trace = config.debug_trace;
     const auto validate = config.validate;
-    const auto queue = config.event_queue;
     config = exp::ClusterSimConfig::naive(gseed == 0 ? 1 : gseed);
     config.seed = seed;
     config.machines = machines;
     config.debug_trace = trace;
     config.validate = validate;
-    config.event_queue = queue;
   } else if (policy != "harmony") {
     usage_error(argv[0], "unknown policy '" + policy + "'");
   }
@@ -377,16 +383,12 @@ int main(int argc, char** argv) {
   }
 
   std::vector<double> arrivals;
-  if (arrival == "batch") {
+  if (arrival_kind == "batch") {
     arrivals = exp::batch_arrivals(catalog.size());
-  } else if (arrival.rfind("poisson:", 0) == 0) {
-    arrivals = exp::poisson_arrivals(catalog.size(), parse_suffixed(arrival, "poisson:"),
-                                     config.seed);
-  } else if (arrival.rfind("trace:", 0) == 0) {
-    arrivals =
-        exp::trace_arrivals(catalog.size(), parse_suffixed(arrival, "trace:"), config.seed);
+  } else if (arrival_kind == "poisson") {
+    arrivals = exp::poisson_arrivals(catalog.size(), arrival_mean_sec, config.seed);
   } else {
-    usage_error(argv[0], "unknown arrival process '" + arrival + "'");
+    arrivals = exp::trace_arrivals(catalog.size(), arrival_mean_sec, config.seed);
   }
 
   std::printf("policy=%s jobs=%zu machines=%zu arrival=%s spill=%s\n", policy.c_str(),
