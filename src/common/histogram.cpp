@@ -25,13 +25,19 @@ double SampleSet::max() const {
 double SampleSet::quantile(double q) const {
   assert(q >= 0.0 && q <= 1.0);
   if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double pos = q * static_cast<double>(sorted.size() - 1);
+  // Only the lo-th and hi-th order statistics are needed (hi is lo or
+  // lo + 1): select the lo-th, then the smallest of what lies above it. The
+  // values, and so the arithmetic below, are those of a full sort.
+  std::vector<double> order = samples_;
+  const double pos = q * static_cast<double>(order.size() - 1);
   const auto lo = static_cast<std::size_t>(std::floor(pos));
   const auto hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+  const auto nth = order.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(order.begin(), nth, order.end());
+  const double lo_value = *nth;
+  const double hi_value = hi == lo ? lo_value : *std::min_element(nth + 1, order.end());
+  return lo_value * (1.0 - frac) + hi_value * frac;
 }
 
 double SampleSet::cdf_at(double x) const {

@@ -21,7 +21,7 @@ class SampleSet {
   double mean() const;
   double min() const;
   double max() const;
-  // Linear-interpolated quantile, q in [0, 1].
+  // Linear-interpolated quantile, q in [0, 1]. O(n): one selection, no sort.
   double quantile(double q) const;
 
   // Fraction of samples <= x (empirical CDF).

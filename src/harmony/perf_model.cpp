@@ -44,19 +44,27 @@ Utilization PerfModel::group_utilization(const GroupShape& group) {
   return Utilization{sum_cpu / t_itr, sum_net / t_itr};
 }
 
+PerfModel::Terms PerfModel::lane_terms(double sum_cpu, double sum_net, double max_itr,
+                                       std::size_t machines) {
+  if (machines == 0) return {};
+  // group_iteration_time and group_utilization, from the same sums.
+  const double t_itr = std::max({sum_cpu, sum_net, max_itr});
+  Utilization u;
+  if (!(t_itr <= 0.0)) u = Utilization{sum_cpu / t_itr, sum_net / t_itr};
+  const auto m = static_cast<double>(machines);
+  return Terms{m * u.cpu, m * u.net, m};
+}
+
+PerfModel::Terms PerfModel::group_terms(const GroupShape& group) {
+  return group_terms(group.jobs, group.machines, [](const JobProfile& j) -> const JobProfile& {
+    return j;
+  });
+}
+
 Utilization PerfModel::cluster_utilization(std::span<const GroupShape> groups) {
-  double total_machines = 0.0;
-  Utilization acc;
-  for (const GroupShape& g : groups) {
-    if (g.jobs.empty() || g.machines == 0) continue;
-    const Utilization u = group_utilization(g);
-    const auto m = static_cast<double>(g.machines);
-    acc.cpu += m * u.cpu;
-    acc.net += m * u.net;
-    total_machines += m;
-  }
-  if (total_machines <= 0.0) return {};
-  return Utilization{acc.cpu / total_machines, acc.net / total_machines};
+  Terms acc;
+  for (const GroupShape& g : groups) acc.add(group_terms(g));
+  return acc.utilization();
 }
 
 double PerfModel::score_scalar(const Utilization& u, std::size_t total_jobs,

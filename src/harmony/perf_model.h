@@ -6,6 +6,8 @@
 // The scheduler searches over groupings/allocations by evaluating this model.
 #pragma once
 
+#include <algorithm>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -63,6 +65,45 @@ class PerfModel {
   // Eq. 3: per-resource busy fraction within a group iteration.
   static Utilization group_utilization(const GroupShape& group);
 
+  // One group's share of Eq. 4's sums: machines·u.cpu, machines·u.net and
+  // machines. cluster_utilization adds these up in group order and divides;
+  // a caller that assembles a cluster from groups whose terms it already
+  // holds adds the same terms in the same order and gets the same bits.
+  struct Terms {
+    double cpu = 0.0;
+    double net = 0.0;
+    double machines = 0.0;
+
+    void add(const Terms& o) noexcept {
+      cpu += o.cpu;
+      net += o.net;
+      machines += o.machines;
+    }
+    // Eq. 4's average; zero when no machine is allocated.
+    Utilization utilization() const noexcept {
+      if (machines <= 0.0) return {};
+      return Utilization{cpu / machines, net / machines};
+    }
+  };
+
+  // A group's terms from its members in order; `profile(member)` yields a
+  // member's JobProfile. An empty or machine-less group contributes nothing.
+  template <typename Members, typename Profile>
+  static Terms group_terms(const Members& members, std::size_t machines, Profile profile) {
+    if (std::empty(members)) return {};
+    double sum_cpu = 0.0;
+    double sum_net = 0.0;
+    double max_itr = 0.0;
+    for (const auto& member : members) {
+      const JobProfile& j = profile(member);
+      sum_cpu += j.t_cpu(machines);
+      sum_net += j.t_net;
+      max_itr = std::max(max_itr, j.t_itr(machines));
+    }
+    return lane_terms(sum_cpu, sum_net, max_itr, machines);
+  }
+  static Terms group_terms(const GroupShape& group);
+
   // Eq. 4: machine-weighted average across groups.
   static Utilization cluster_utilization(std::span<const GroupShape> groups);
 
@@ -75,6 +116,10 @@ class PerfModel {
   const Params& params() const noexcept { return params_; }
 
  private:
+  // Terms from Eq. 1's lane sums (Σ T_cpu, Σ T_net, max_j T_itr).
+  static Terms lane_terms(double sum_cpu, double sum_net, double max_itr,
+                          std::size_t machines);
+
   Params params_;
 };
 

@@ -108,6 +108,36 @@ std::pair<std::size_t, std::size_t> first_matching_pair(std::span<const SchedJob
 
 }  // namespace
 
+ClusterRescorer::ClusterRescorer(const PerfModel& model, std::span<const RunningGroup> groups)
+    : model_(model) {
+  terms_.reserve(groups.size());
+  jobs_.reserve(groups.size());
+  for (const RunningGroup& g : groups) {
+    terms_.push_back(PerfModel::group_terms(
+        g.jobs, g.machines, [](const SchedJob& j) -> const JobProfile& { return j.profile; }));
+    jobs_.push_back(g.jobs.size());
+  }
+}
+
+double ClusterRescorer::score(std::span<const char> replaced,
+                              std::span<const GroupShape> added) const {
+  PerfModel::Terms acc;
+  std::size_t jobs = 0;
+  std::size_t nonempty = 0;
+  for (std::size_t g = 0; g < terms_.size(); ++g) {
+    if (!replaced.empty() && replaced[g]) continue;
+    acc.add(terms_[g]);
+    jobs += jobs_[g];
+    if (jobs_[g] > 0) ++nonempty;
+  }
+  for (const GroupShape& shape : added) {
+    acc.add(PerfModel::group_terms(shape));
+    jobs += shape.jobs.size();
+    if (!shape.jobs.empty()) ++nonempty;
+  }
+  return model_.score_scalar(acc.utilization(), jobs, nonempty);
+}
+
 Regrouper::Regrouper(const Scheduler& scheduler, Params params)
     : scheduler_(scheduler), params_(params) {}
 
@@ -197,8 +227,8 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
   // (3) Involve other groups, smallest-first, via Algorithm 1. We grow the
   // set of participating groups and keep the smallest decision unless a
   // bigger one wins by more than min_benefit.
-  auto shapes = to_shapes(groups);
-  const double current_score = scheduler_.model().score(shapes);
+  const ClusterRescorer rescorer(scheduler_.model(), groups);
+  const double current_score = rescorer.score({}, {});
 
   // Order candidate partner groups by job count (the paper starts with the
   // group with the fewest jobs).
@@ -214,43 +244,40 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
   std::size_t best_job_count = SIZE_MAX;
 
   std::vector<std::size_t> involved = {group_index};
+  std::vector<char> involved_mask(groups.size(), 0);
+  involved_mask[group_index] = 1;
+  std::vector<GroupShape> decision_shapes;
   std::vector<SchedJob> pool(groups[group_index].jobs);
   // Idle jobs participate too (they may fill the hole).
   pool.insert(pool.end(), idle.begin(), idle.end());
   std::size_t machines = groups[group_index].machines + spare_machines;
 
-  // Id -> pool index, grown alongside `pool`, so mapping a decision's job ids
-  // back to profiles is O(1) per id instead of a linear pool scan. First
-  // insertion wins, matching a forward find_if when ids repeat.
+  // Id -> pool index, so mapping a decision's job ids back to profiles is
+  // O(1) per id instead of a linear pool scan. schedule() places jobs from
+  // the front of its input only, so just the prefix decisions have reached
+  // is indexed, not the whole cluster. First insertion wins, matching a
+  // forward find_if when ids repeat.
   std::unordered_map<JobId, std::size_t> pool_index;
-  pool_index.reserve(pool.size() + groups.size() * 4);
   std::size_t indexed = 0;
-  const auto index_new_pool_jobs = [&] {
-    for (; indexed < pool.size(); ++indexed)
-      pool_index.emplace(pool[indexed].id, indexed);
-  };
-  index_new_pool_jobs();
 
   for (std::size_t step = 0; step <= partners.size(); ++step) {
     ScheduleDecision decision = scheduler_.schedule(pool, machines);
+    for (; indexed < decision.jobs_scheduled; ++indexed)
+      pool_index.emplace(pool[indexed].id, indexed);
     if (!decision.empty()) {
       // Score of the whole cluster if this decision replaces the involved
       // groups: involved groups are re-shaped, others stay.
-      std::vector<GroupShape> candidate_shapes;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        if (std::find(involved.begin(), involved.end(), g) != involved.end()) continue;
-        candidate_shapes.push_back(shapes[g]);
-      }
-      for (const GroupPlan& plan : decision.groups) {
-        GroupShape s;
-        s.machines = plan.machines;
-        for (JobId id : plan.jobs) {
+      decision_shapes.resize(decision.groups.size());
+      for (std::size_t i = 0; i < decision.groups.size(); ++i) {
+        GroupShape& shape = decision_shapes[i];
+        shape.machines = decision.groups[i].machines;
+        shape.jobs.clear();
+        for (JobId id : decision.groups[i].jobs) {
           auto it = pool_index.find(id);
-          if (it != pool_index.end()) s.jobs.push_back(pool[it->second].profile);
+          if (it != pool_index.end()) shape.jobs.push_back(pool[it->second].profile);
         }
-        candidate_shapes.push_back(std::move(s));
       }
-      const double score = scheduler_.model().score(candidate_shapes);
+      const double score = rescorer.score(involved_mask, decision_shapes);
       const std::size_t jobs_touched = pool.size();
       // Prefer fewer jobs unless the larger decision is >5 % better.
       const bool better =
@@ -260,7 +287,7 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
       if (better) {
         RegroupAction a;
         a.kind = RegroupAction::Kind::kReschedule;
-        a.decision = decision;
+        a.decision = std::move(decision);
         a.groups_involved = involved;
         best = std::move(a);
         best_score = score;
@@ -270,8 +297,8 @@ RegroupAction Regrouper::on_job_finish(const SchedJob& finished, std::size_t gro
     if (step == partners.size()) break;
     const std::size_t next = partners[step];
     involved.push_back(next);
+    involved_mask[next] = 1;
     pool.insert(pool.end(), groups[next].jobs.begin(), groups[next].jobs.end());
-    index_new_pool_jobs();
     machines += groups[next].machines;
   }
 

@@ -46,6 +46,25 @@ struct RegroupAction {
   std::vector<std::size_t> groups_involved;
 };
 
+// Scores a cluster in which some running groups are replaced by new ones.
+// Each running group's Eq. 4 terms are taken once, so a rescore costs one
+// add per kept group plus the new groups, instead of re-deriving every
+// member. score() equals PerfModel::score over [the kept groups in index
+// order, then `added`] bit for bit.
+class ClusterRescorer {
+ public:
+  ClusterRescorer(const PerfModel& model, std::span<const RunningGroup> groups);
+
+  // `replaced[g]` != 0 drops groups[g]; `replaced` is empty or one flag per
+  // group.
+  double score(std::span<const char> replaced, std::span<const GroupShape> added) const;
+
+ private:
+  const PerfModel& model_;
+  std::vector<PerfModel::Terms> terms_;
+  std::vector<std::size_t> jobs_;
+};
+
 class Regrouper {
  public:
   struct Params {

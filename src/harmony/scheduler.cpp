@@ -1,11 +1,14 @@
 #include "harmony/scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
+#include "common/search.h"
 #include "obs/metrics.h"
 
 namespace harmony::core {
@@ -37,10 +40,18 @@ struct Scratch {
   // Machine allocation.
   std::vector<std::size_t> alloc;
   std::vector<std::size_t> targets;
-  std::vector<double> next_abs;
-  std::vector<double> gain;
-  // Model input, rebuilt per candidate; inner vectors keep their capacity.
-  std::vector<GroupShape> shapes;
+  std::vector<double> work;           // Σ cpu_work per group
+  std::vector<double> weight;         // √work, the water-fill weight
+  std::vector<std::uint32_t> order;   // groups in saturation order
+  std::vector<double> free_weight;    // suffix sums of weight over order
+  std::vector<double> next_gain;      // gain of the group's first pending grant
+  std::vector<double> last_gain;      // gain of the group's last grant
+  struct Entry {
+    double gain = 0.0;
+    std::uint32_t group = 0;
+  };
+  std::vector<Entry> pending_heap;
+  std::vector<Entry> held_heap;
 };
 
 Scratch& scratch() {
@@ -303,45 +314,71 @@ void assign_core(const Scheduler::Params& params, std::span<const SchedJob> jobs
 // further network-bound is worth more left idle for a future group than
 // burned on inflating DoP.
 //
-// A group's gain only changes when it is granted a machine, so gains are
-// cached and each grant costs O(log g + |group|) via a max-heap instead of a
-// rescan of every group's members. Heap order (gain desc, then smaller group
-// index) picks the same winner as a forward scan with strict '>'.
+// The greedy grants, one machine at a time, the pending grant with the
+// largest gain |imb(a)| − |imb(a+1)| (ties to the smaller group index), and
+// stops at the first non-positive gain. It is computed here without being
+// replayed: a gain depends only on its group and the group's allocation a,
+// and does not increase with a (before the balance crossing it is C/(a(a+1))
+// with C = Σ cpu_work; after it, it is non-positive). So the greedy's grants
+// are exactly the `remaining` largest (gain desc, group asc) grants, each
+// group's capped at its solo target − 1 — a water-fill.
 void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::size_t machines,
                    Scratch& s) {
   s.alloc.assign(g_count, 1);
   if (g_count == 0) return;
-  std::size_t remaining = machines - g_count;
+  const std::size_t remaining = machines - g_count;
   if (remaining == 0) return;
 
   const auto imb_at = [&](std::size_t g, std::size_t a) {
     return segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], a);
   };
+  const auto gain_at = [&](std::size_t g, std::size_t a) {
+    return std::abs(imb_at(g, a)) - std::abs(imb_at(g, a + 1));
+  };
 
-  // Fast path: when the greedy never exhausts the machines — the common case
-  // on a large cluster — its interleaving is irrelevant: every group simply
-  // grows until its own first non-positive gain, independently of the others.
-  // That stopping point is the balance crossing, found by binary search:
-  // imbalance is non-increasing in the allocation even under FP rounding
-  // (each T_cpu term shrinks exactly, and fl-addition is monotone). Gains
-  // before the crossing are positive (they only vanish at ULP scale, far
-  // beyond realistic profile magnitudes); the two gains at the crossing are
-  // evaluated exactly. Each group costs O(|group|·log M) instead of
-  // O(|group|·grants).
+  // A group on its own grows until its first non-positive gain: the balance
+  // crossing, the smallest a where one more machine tips the group
+  // network-bound (imb(a+1) <= 0). Imbalance is non-increasing in the
+  // allocation even under FP rounding (each T_cpu term shrinks exactly, and
+  // fl-addition is monotone), so the crossing is found by search: galloping
+  // out from the analytic balance point C/N, then bisecting the bracket.
+  // Gains before the crossing are positive (they only vanish at ULP scale,
+  // far beyond realistic profile magnitudes); the two gains at the crossing
+  // are evaluated exactly. Each group costs O(|group|·log|a* − C/N|).
+  s.work.resize(g_count);
   const auto solo_target = [&](std::size_t g) -> std::size_t {
-    // Smallest a in [1, machines] where one more machine tips the group
-    // network-bound (imb(a+1) <= 0); machines+1 if no crossing in range.
-    if (!(imb_at(g, machines + 1) <= 0.0)) return machines + 1;
-    std::size_t lo = 1, hi = machines;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (imb_at(g, mid + 1) <= 0.0)
-        hi = mid;
-      else
-        lo = mid + 1;
+    // The search's last probes and the gain check read the same few
+    // allocations around the crossing; each is computed once. Allocations
+    // start at 1, so the zeroed slots never match.
+    std::array<std::pair<std::size_t, double>, 4> seen{};
+    std::size_t next_slot = 0;
+    const auto imb = [&](std::size_t a) {
+      for (const auto& [at, value] : seen)
+        if (at == a) return value;
+      const double value = imb_at(g, a);
+      seen[next_slot++ % seen.size()] = {a, value};
+      return value;
+    };
+    const auto crossed = [&](std::size_t a) { return imb(a + 1) <= 0.0; };
+    double cpu = 0.0;
+    double net = 0.0;
+    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i) {
+      cpu += jobs[s.members[i]].profile.cpu_work;
+      net += jobs[s.members[i]].profile.t_net;
     }
-    const double gain = std::abs(imb_at(g, lo)) - std::abs(imb_at(g, lo + 1));
-    return gain > 0.0 ? lo + 1 : lo;
+    s.work[g] = cpu;
+    // imb(a+1) = C/(a+1) − N reaches zero at a + 1 = C/N.
+    std::size_t guess = machines;
+    if (net > 0.0) {
+      const double balance = cpu / net;
+      if (!(balance > 1.0))
+        guess = 1;
+      else if (balance < static_cast<double>(machines))
+        guess = static_cast<std::size_t>(std::ceil(balance)) - 1;
+    }
+    const std::size_t lo = common::gallop_first_true(machines, guess, crossed);
+    if (lo > machines) return machines + 1;
+    return std::abs(imb(lo)) - std::abs(imb(lo + 1)) > 0.0 ? lo + 1 : lo;
   };
   s.targets.resize(g_count);
   std::size_t total_grants = 0;
@@ -349,51 +386,144 @@ void allocate_core(std::span<const SchedJob> jobs, std::size_t g_count, std::siz
     s.targets[g] = solo_target(g);
     total_grants += s.targets[g] - 1;
   }
+  // When the greedy never exhausts the machines — the common case on a large
+  // cluster — every group simply reaches its own target.
   if (total_grants <= remaining) {
     for (std::size_t g = 0; g < g_count; ++g) s.alloc[g] = s.targets[g];
     return;
   }
 
-  // Machine-constrained: replay the grant-by-grant greedy so contention ties
-  // resolve exactly as before.
-  s.next_abs.resize(g_count);
-  s.gain.resize(g_count);
-  struct Entry {
-    double gain = 0.0;
-    std::size_t group = 0;
-    bool operator<(const Entry& o) const noexcept {
-      if (gain != o.gain) return gain < o.gain;
-      return group > o.group;
+  // Machine-constrained. Estimate: the grants with gain above a level λ
+  // number about √(C_g/λ) − ½ per group, so counts go as √C_g. Find the
+  // scale σ = 1/√λ at which the capped counts min(σ√C_g − ½, cap_g) add up
+  // to `remaining`: walk the groups in the order they saturate (σ_g =
+  // (cap_g + ½)/√C_g), capping each one whose saturation point the solved
+  // σ passes. Groups without a finite positive weight start at no grants.
+  s.weight.resize(g_count);
+  s.order.clear();
+  for (std::size_t g = 0; g < g_count; ++g) {
+    const double w = std::sqrt(s.work[g]);
+    s.weight[g] = w > 0.0 && std::isfinite(w) ? w : 0.0;
+    if (s.weight[g] > 0.0 && s.targets[g] > 1) s.order.push_back(static_cast<std::uint32_t>(g));
+  }
+  const auto saturation = [&](std::uint32_t g) {
+    return (static_cast<double>(s.targets[g] - 1) + 0.5) / s.weight[g];
+  };
+  std::sort(s.order.begin(), s.order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    const double sa = saturation(a), sb = saturation(b);
+    return sa != sb ? sa < sb : a < b;
+  });
+  // free_weight[i]: Σ weight over order[i..], summed from the back so it
+  // stays positive however the weights differ in scale.
+  auto& free_weight = s.free_weight;
+  free_weight.assign(s.order.size() + 1, 0.0);
+  for (std::size_t i = s.order.size(); i-- > 0;)
+    free_weight[i] = free_weight[i + 1] + s.weight[s.order[i]];
+  double capped_grants = 0.0;
+  double sigma = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < s.order.size(); ++i) {
+    const double free_groups = static_cast<double>(s.order.size() - i);
+    const double level =
+        (static_cast<double>(remaining) - capped_grants + 0.5 * free_groups) / free_weight[i];
+    if (level < saturation(s.order[i])) {
+      sigma = level;
+      break;
+    }
+    capped_grants += static_cast<double>(s.targets[s.order[i]] - 1);
+  }
+  std::size_t granted = 0;
+  for (std::uint32_t g : s.order) {
+    const std::size_t cap = s.targets[g] - 1;
+    const double x = std::floor(sigma * s.weight[g]);
+    const std::size_t count = x >= static_cast<double>(cap) ? cap
+                              : x > 0.0                     ? static_cast<std::size_t>(x)
+                                                            : 0;
+    s.alloc[g] = 1 + count;
+    granted += count;
+  }
+
+  // Exact fix-up. Each group's boundary grants are its last granted one
+  // (gain at alloc − 1) and its first pending one (gain at alloc). Trim the
+  // worst granted while over budget, add the best positive pending while
+  // under, then swap while a pending grant beats a granted one. With
+  // non-increasing gains the result is the top-`remaining` set, i.e. the
+  // greedy's. Every swap trades a grant for a strictly better one of another
+  // group, so the loop ends even if gains misbehave; a NaN gain ranks below
+  // everything and is never granted.
+  using Entry = Scratch::Entry;
+  // Rank order: larger gain first, then smaller group.
+  const auto beats = [](const Entry& a, const Entry& b) {
+    return a.gain != b.gain ? a.gain > b.gain : a.group < b.group;
+  };
+  const auto sane = [](double gain) {
+    return std::isnan(gain) ? -std::numeric_limits<double>::infinity() : gain;
+  };
+  constexpr double kNone = std::numeric_limits<double>::quiet_NaN();
+  s.next_gain.resize(g_count);
+  s.last_gain.resize(g_count);
+  auto& pending = s.pending_heap;  // best pending on top
+  auto& held = s.held_heap;        // worst granted on top
+  pending.clear();
+  held.clear();
+  const auto worse_pending = [&](const Entry& a, const Entry& b) { return beats(b, a); };
+  const auto better_held = [&](const Entry& a, const Entry& b) { return beats(a, b); };
+  // Refreshes group g's boundary gains after its allocation changed; the
+  // heaps drop entries that no longer match (NaN matches nothing).
+  const auto refresh = [&](std::size_t g, double last, double next) {
+    s.last_gain[g] = s.alloc[g] > 1 ? sane(last) : kNone;
+    s.next_gain[g] = next > 0.0 ? next : kNone;
+    const auto id = static_cast<std::uint32_t>(g);
+    if (s.alloc[g] > 1) {
+      held.push_back(Entry{s.last_gain[g], id});
+      std::push_heap(held.begin(), held.end(), better_held);
+    }
+    if (next > 0.0) {
+      pending.push_back(Entry{next, id});
+      std::push_heap(pending.begin(), pending.end(), worse_pending);
     }
   };
-  // Heap over a reused array (std::priority_queue would allocate per call).
-  thread_local std::vector<Entry> heap;
-  heap.clear();
   for (std::size_t g = 0; g < g_count; ++g) {
-    const double now_abs =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g]));
-    s.next_abs[g] =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g] + 1));
-    s.gain[g] = now_abs - s.next_abs[g];
-    heap.push_back(Entry{s.gain[g], g});
+    const double now = std::abs(imb_at(g, s.alloc[g]));
+    const double last = s.alloc[g] > 1 ? std::abs(imb_at(g, s.alloc[g] - 1)) - now : kNone;
+    refresh(g, last, now - std::abs(imb_at(g, s.alloc[g] + 1)));
   }
-  std::make_heap(heap.begin(), heap.end());
-
-  while (remaining > 0 && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end());
-    const Entry top = heap.back();
-    heap.pop_back();
-    if (top.gain != s.gain[top.group]) continue;  // stale: a fresher entry exists
-    if (!(top.gain > 0.0)) break;                 // every group at (or past) balance
-    const std::size_t g = top.group;
+  const auto top_pending = [&]() -> const Entry* {
+    while (!pending.empty() && !(pending.front().gain == s.next_gain[pending.front().group])) {
+      std::pop_heap(pending.begin(), pending.end(), worse_pending);
+      pending.pop_back();
+    }
+    return pending.empty() ? nullptr : &pending.front();
+  };
+  const auto top_held = [&]() -> const Entry* {
+    while (!held.empty() && !(held.front().gain == s.last_gain[held.front().group])) {
+      std::pop_heap(held.begin(), held.end(), better_held);
+      held.pop_back();
+    }
+    return held.empty() ? nullptr : &held.front();
+  };
+  const auto grant = [&](std::size_t g) {
+    const double last = s.next_gain[g];
     ++s.alloc[g];
-    --remaining;
-    const double now_abs = s.next_abs[g];  // |imbalance| at the new allocation
-    s.next_abs[g] =
-        std::abs(segment_imbalance(jobs, s, s.offsets[g], s.offsets[g + 1], s.alloc[g] + 1));
-    s.gain[g] = now_abs - s.next_abs[g];
-    heap.push_back(Entry{s.gain[g], g});
-    std::push_heap(heap.begin(), heap.end());
+    refresh(g, last, gain_at(g, s.alloc[g]));
+  };
+  const auto revoke = [&](std::size_t g) {
+    const double next = s.last_gain[g];
+    --s.alloc[g];
+    refresh(g, s.alloc[g] > 1 ? gain_at(g, s.alloc[g] - 1) : kNone, next);
+  };
+  for (; granted > remaining; --granted) revoke(top_held()->group);
+  for (; granted < remaining; ++granted) {
+    const Entry* best = top_pending();
+    if (best == nullptr) break;
+    grant(best->group);
+  }
+  for (;;) {
+    const Entry* in = top_pending();
+    const Entry* out = top_held();
+    if (in == nullptr || out == nullptr || in->group == out->group || !beats(*in, *out)) break;
+    const std::size_t add = in->group, drop = out->group;
+    revoke(drop);
+    grant(add);
   }
 }
 
@@ -419,22 +549,20 @@ CoreResult evaluate_core(const Scheduler::Params& params, const PerfModel& model
   const std::size_t g_count = std::min(ng, jobs.size());
   allocate_core(jobs, g_count, machines, s);
 
-  // Materialize GroupShapes for the model; reused inner vectors keep their
-  // capacity across candidates.
-  if (s.shapes.size() > g_count) s.shapes.resize(g_count);
-  while (s.shapes.size() < g_count) s.shapes.emplace_back();
+  // Score straight off the segments: Eq. 1/3 lane sums per group, folded
+  // into Eq. 4 exactly as PerfModel::score does over the same groups.
+  PerfModel::Terms acc;
+  const auto profile_of = [&](std::uint32_t i) -> const JobProfile& { return jobs[i].profile; };
   for (std::size_t g = 0; g < g_count; ++g) {
-    GroupShape& shape = s.shapes[g];
-    shape.machines = s.alloc[g];
-    shape.jobs.clear();
-    for (std::size_t i = s.offsets[g]; i < s.offsets[g + 1]; ++i)
-      shape.jobs.push_back(jobs[s.members[i]].profile);
+    const std::span<const std::uint32_t> members(s.members.data() + s.offsets[g],
+                                                 s.offsets[g + 1] - s.offsets[g]);
+    acc.add(PerfModel::group_terms(members, s.alloc[g], profile_of));
   }
 
   CoreResult r;
   r.g_count = g_count;
-  r.util = PerfModel::cluster_utilization(s.shapes);
-  r.score = model.score(s.shapes);
+  r.util = acc.utilization();
+  r.score = model.score_scalar(r.util, jobs.size(), g_count);
   // Packing more jobs than machines into a group makes utilization look
   // great while starving every job's progress; reject such shapes outright.
   for (std::size_t g = 0; g < g_count; ++g)

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "harmony/validate.h"
@@ -71,6 +72,11 @@ double quantile_of(const SampleSet& s, double q) { return s.empty() ? 0.0 : s.qu
 
 }  // namespace
 
+bool arrivals_fit_job_ids(double duration_sec, double mean_interarrival_sec) {
+  return mean_interarrival_sec > 0.0 &&
+         duration_sec / mean_interarrival_sec < static_cast<double>(core::kNoJob);
+}
+
 Service::Service(ServiceConfig config, std::vector<exp::WorkloadSpec> catalog)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
@@ -82,10 +88,17 @@ Service::Service(ServiceConfig config, std::vector<exp::WorkloadSpec> catalog)
   HARMONY_CHECK(config_.machines > 0) << "service needs machines";
   HARMONY_CHECK(config_.arrival_kind != "batch")
       << "the open-loop service needs a positive-rate arrival process";
-  HARMONY_CHECK(config_.equivalence_slack > config_.incremental.drift_threshold)
-      << "equivalence slack " << config_.equivalence_slack
-      << " must exceed the drift threshold " << config_.incremental.drift_threshold
-      << " (the bound includes one threshold's worth of tolerated decay)";
+  if (!(config_.duration_sec >= 0.0) || !std::isfinite(config_.duration_sec))
+    throw std::invalid_argument("Service: duration must be finite and non-negative");
+  if (!(config_.mean_interarrival_sec > 0.0) || !std::isfinite(config_.mean_interarrival_sec))
+    throw std::invalid_argument("Service: mean inter-arrival time must be finite and positive");
+  if (!arrivals_fit_job_ids(config_.duration_sec, config_.mean_interarrival_sec))
+    throw std::invalid_argument(
+        "Service: the arrival rate over the duration would submit more jobs than the "
+        "32-bit job ids can name");
+  // The equivalence bound includes one threshold's worth of tolerated decay.
+  if (!(config_.equivalence_slack > config_.incremental.drift_threshold))
+    throw std::invalid_argument("Service: equivalence slack must exceed the drift threshold");
   stream_ = exp::make_arrival_stream(config_.arrival_kind, config_.mean_interarrival_sec,
                                      rng_.next_u64());
 

@@ -97,6 +97,12 @@ struct ServiceConfig {
   std::vector<obs::SloSpec> slos;
 };
 
+// True when an open-loop run over `duration_sec` at `mean_interarrival_sec`
+// is expected to submit fewer jobs than the 32-bit job ids can name. Past
+// that the ids run out mid-run; at the extreme, a gap below the clock's
+// resolution never advances simulated time at all.
+bool arrivals_fit_job_ids(double duration_sec, double mean_interarrival_sec);
+
 // End-of-run statistics. All fields except the wall-clock block are
 // deterministic in the seed; report() renders only the deterministic part.
 struct ServiceSummary {

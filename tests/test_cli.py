@@ -80,6 +80,25 @@ class CliTest(unittest.TestCase):
             with self.subTest(args=args):
                 self.assert_named_error(flag, *args)
 
+    def test_service_values_that_cannot_run_are_named(self):
+        # Well-formed numbers the service cannot honour: a drift threshold so
+        # large that the raised equivalence slack rounds back to it, a rate
+        # whose mean gap 1/rate overflows, and rates so high that the run
+        # would outgrow the 32-bit job ids (with gaps below the clock's
+        # resolution, simulated time never advances). Each must be a usage
+        # error naming the flag, never an abort or a hang.
+        for flag, args in (
+                ("--drift", ("--service", "--drift", "1e308", "--duration", "100",
+                             "--machines", "20")),
+                ("--arrival-rate", ("--service", "--arrival-rate", "1e-320",
+                                    "--duration", "100", "--machines", "20")),
+                ("--arrival-rate", ("--service", "--arrival-rate", "1e300",
+                                    "--duration", "100", "--machines", "20")),
+                ("--arrival", ("--service", "--arrival", "poisson:1e-300")),
+        ):
+            with self.subTest(args=args):
+                self.assert_named_error(flag, *args)
+
     def test_zero_machines_is_named(self):
         self.assert_named_error("--machines", "--machines", "0", "--jobs", "3")
         self.assert_named_error("--machines", "--service", "--machines", "0")

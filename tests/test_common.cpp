@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -176,6 +178,39 @@ TEST_P(QuantileSweep, MatchesClosedFormOnLinearRamp) {
 
 INSTANTIATE_TEST_SUITE_P(Quantiles, QuantileSweep,
                          ::testing::Values(0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0));
+
+// The quantile as a full sort computes it.
+double sorted_quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const auto hi = static_cast<std::size_t>(std::ceil(pos));
+  const double frac = pos - static_cast<double>(lo);
+  return v[lo] * (1.0 - frac) + v[hi] * frac;
+}
+
+TEST(SampleSet, QuantileMatchesSortBasedReference) {
+  Rng rng(29);
+  for (const std::size_t n : {1u, 2u, 3u, 7u, 100u, 1001u, 4096u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      // Few distinct values, so duplicates straddle every cut.
+      const int distinct = 1 + trial % 9;
+      SampleSet s;
+      std::vector<double> v;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = trial % 2 == 0 ? std::floor(rng.uniform(0.0, distinct))
+                                        : rng.normal(0.0, 1e3);
+        s.add(x);
+        v.push_back(x);
+      }
+      for (const double q : {0.0, 0.5, 0.99, 1.0, 0.25, 0.999}) {
+        EXPECT_EQ(s.quantile(q), sorted_quantile(v, q))  // bit-exact on purpose
+            << "n=" << n << " trial=" << trial << " q=" << q;
+      }
+      EXPECT_EQ(s.samples(), v);  // the stored samples are left as added
+    }
+  }
+}
 
 TEST(SampleSet, CdfMonotone) {
   SampleSet s;

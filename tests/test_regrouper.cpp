@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
 #include <vector>
@@ -112,6 +114,63 @@ TEST_F(RegrouperTest, FinishOutOfRangeGroupIndexIsNone) {
   std::vector<RunningGroup> groups{{{job(2, 100, 10)}, 4}};
   const auto action = regrouper_.on_job_finish(job(1, 100, 10), 7, {}, groups);
   EXPECT_EQ(action.kind, RegroupAction::Kind::kNone);
+}
+
+// ---------------------------------------------------------------------------
+// on_job_finish step (3) rescoring: the cluster score after a decision
+// replaces the involved groups, from per-group terms taken once, against
+// model().score over the candidate shapes spelled out.
+
+GroupShape shape_of(const RunningGroup& g) {
+  GroupShape s;
+  s.machines = g.machines;
+  for (const SchedJob& j : g.jobs) s.jobs.push_back(j.profile);
+  return s;
+}
+
+TEST(ClusterRescorer, MatchesModelScoreOverCandidateShapesBitForBit) {
+  std::mt19937_64 rng(33);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  Scheduler scheduler;
+  const PerfModel& model = scheduler.model();
+  const auto profile = [&](double scale) {
+    return JobProfile{scale * std::pow(10.0, 3.0 * unit(rng)), scale * (0.1 + unit(rng))};
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double scale = std::pow(10.0, -6.0 + 12.0 * unit(rng));
+    // Running groups, including empty and machine-less ones, which the
+    // model skips.
+    std::vector<RunningGroup> groups(rng() % 12);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      groups[g].machines = rng() % 10 == 0 ? 0 : 1 + rng() % 40;
+      const std::size_t n = rng() % 10 == 0 ? 0 : 1 + rng() % 6;
+      for (std::size_t j = 0; j < n; ++j)
+        groups[g].jobs.push_back(SchedJob{static_cast<JobId>(g * 10 + j), profile(scale)});
+    }
+    std::vector<char> replaced(groups.size());
+    for (char& r : replaced) r = static_cast<char>(rng() % 2);
+    std::vector<GroupShape> added(rng() % 4);
+    for (GroupShape& a : added) {
+      a.machines = rng() % 10 == 0 ? 0 : 1 + rng() % 30;
+      for (std::size_t j = rng() % 6; j > 0; --j) a.jobs.push_back(profile(scale));
+    }
+
+    std::vector<GroupShape> all;
+    std::vector<GroupShape> candidate;
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      all.push_back(shape_of(groups[g]));
+      if (!replaced[g]) candidate.push_back(all.back());
+    }
+    candidate.insert(candidate.end(), added.begin(), added.end());
+
+    const ClusterRescorer rescorer(model, groups);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rescorer.score({}, {})),
+              std::bit_cast<std::uint64_t>(model.score(all)))
+        << "trial " << trial;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rescorer.score(replaced, added)),
+              std::bit_cast<std::uint64_t>(model.score(candidate)))
+        << "trial " << trial;
+  }
 }
 
 // ---------------------------------------------------------------------------

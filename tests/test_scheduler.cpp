@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <queue>
+#include <random>
 #include <set>
 
 #include "common/rng.h"
+#include "common/search.h"
 #include "harmony/scheduler.h"
 
 namespace harmony::core {
@@ -170,6 +175,226 @@ TEST(AllocateMachines, FewerMachinesThanGroupsThrows) {
   Scheduler s;
   std::vector<std::vector<SchedJob>> groups{{job(0, 1, 1)}, {job(1, 1, 1)}, {job(2, 1, 1)}};
   EXPECT_THROW(s.allocate_machines(groups, 2), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Step 3 against the grant-by-grant greedy that allocate_machines computes
+// without replaying it.
+
+double reference_imbalance(const std::vector<SchedJob>& group, std::size_t machines) {
+  double cpu = 0.0;
+  double net = 0.0;
+  for (const SchedJob& j : group) {
+    cpu += j.profile.t_cpu(machines);
+    net += j.profile.t_net;
+  }
+  return cpu - net;
+}
+
+double reference_gain(const std::vector<SchedJob>& group, std::size_t machines) {
+  return std::abs(reference_imbalance(group, machines)) -
+         std::abs(reference_imbalance(group, machines + 1));
+}
+
+// The greedy as Algorithm 1 states it: one machine at a time to the group
+// whose |imbalance| drops most (ties to the smaller index), until the
+// machines run out or no grant helps. A max-heap keyed on each group's gain.
+std::vector<std::size_t> reference_greedy(const std::vector<std::vector<SchedJob>>& groups,
+                                          std::size_t machines) {
+  struct Entry {
+    double gain = 0.0;
+    std::size_t group = 0;
+    bool operator<(const Entry& o) const {
+      if (gain != o.gain) return gain < o.gain;
+      return group > o.group;
+    }
+  };
+  std::vector<std::size_t> alloc(groups.size(), 1);
+  std::size_t remaining = machines - groups.size();
+  std::priority_queue<Entry> heap;
+  for (std::size_t g = 0; g < groups.size(); ++g) heap.push({reference_gain(groups[g], 1), g});
+  while (remaining > 0 && !heap.empty()) {
+    const Entry top = heap.top();
+    heap.pop();
+    if (!(top.gain > 0.0)) break;
+    ++alloc[top.group];
+    --remaining;
+    heap.push({reference_gain(groups[top.group], alloc[top.group]), top.group});
+  }
+  return alloc;
+}
+
+// A group's allocation when machines are plentiful, by plain bisection over
+// [1, machines]: the smallest a with imb(a+1) <= 0, one more if that last
+// grant still helps; machines + 1 when no crossing is in range.
+std::size_t reference_solo_target(const std::vector<SchedJob>& group, std::size_t machines) {
+  if (!(reference_imbalance(group, machines + 1) <= 0.0)) return machines + 1;
+  std::size_t lo = 1, hi = machines;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (reference_imbalance(group, mid + 1) <= 0.0)
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  return reference_gain(group, lo) > 0.0 ? lo + 1 : lo;
+}
+
+// Plain bisection over [1, n] for the first a with pred(a).
+template <typename Pred>
+std::size_t bisect_first_true(std::size_t n, Pred pred) {
+  std::size_t lo = 1, hi = n + 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (pred(mid))
+      hi = mid;
+    else
+      lo = mid + 1;
+  }
+  return lo;
+}
+
+TEST(GallopSearch, MatchesBisectionFromAnyHint) {
+  std::mt19937_64 rng(18);
+  for (int i = 0; i < 200000; ++i) {
+    constexpr std::size_t kSizes[] = {0, 1, 2, 3, 10, 200, 20000, std::size_t{1} << 40};
+    const std::size_t n = kSizes[rng() % std::size(kSizes)];
+    const std::size_t boundary = 1 + rng() % (n + 1);  // n + 1: never true
+    // Hints anywhere, including outside [1, n] and far from the boundary.
+    const std::size_t hint = rng() % 4 == 0 ? boundary + rng() % 3 - 1 : rng() % (n + 3);
+    std::size_t probes = 0;
+    const auto pred = [&](std::size_t a) {
+      EXPECT_GE(a, 1u);
+      EXPECT_LE(a, n);
+      ++probes;
+      return a >= boundary;
+    };
+    ASSERT_EQ(common::gallop_first_true(n, hint, pred),
+              bisect_first_true(n, [&](std::size_t a) { return a >= boundary; }))
+        << "n=" << n << " boundary=" << boundary << " hint=" << hint;
+    // A hint at or next to the boundary settles it in a few probes.
+    if (n > 0 && hint + 1 >= boundary && hint <= boundary) {
+      EXPECT_LE(probes, 3u);
+    }
+  }
+}
+
+struct AllocCase {
+  std::vector<std::vector<SchedJob>> groups;
+  std::size_t machines = 0;
+};
+
+// 1-8 groups of 1-6 jobs at one random scale in [1e-6, 1e6]; a quarter of
+// the groups repeat an earlier one, so gains tie exactly across groups.
+// Per-job balance points cpu_work/t_net span 0.3 to 3e4 machines, and the
+// cluster is drawn from three sizes up to 20,000 machines.
+AllocCase random_alloc_case(std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  AllocCase c;
+  const std::size_t ng = 1 + rng() % 8;
+  const double scale = std::pow(10.0, -6.0 + 12.0 * unit(rng));
+  JobId id = 0;
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (g > 0 && unit(rng) < 0.25) {
+      c.groups.push_back(c.groups[rng() % g]);
+      continue;
+    }
+    std::vector<SchedJob> group;
+    const std::size_t size = 1 + rng() % 6;
+    for (std::size_t j = 0; j < size; ++j) {
+      const double t_net = scale * std::pow(10.0, unit(rng) - 0.5);
+      const double cpu_work = t_net * std::pow(10.0, -0.5 + 5.0 * unit(rng));
+      group.push_back(job(id++, cpu_work, t_net));
+    }
+    c.groups.push_back(std::move(group));
+  }
+  constexpr std::size_t kSpans[] = {16, 400, 20000};
+  c.machines = ng + rng() % kSpans[rng() % 3];
+  return c;
+}
+
+TEST(AllocateMachines, MatchesGrantByGrantGreedy) {
+  Scheduler s;
+  std::mt19937_64 rng(15);
+  std::size_t constrained = 0, plentiful = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const AllocCase c = random_alloc_case(rng);
+    const auto got = s.allocate_machines(c.groups, c.machines);
+    ASSERT_EQ(got, reference_greedy(c.groups, c.machines))
+        << "case " << i << ": " << c.groups.size() << " groups, " << c.machines << " machines";
+    std::size_t wanted = 0;
+    for (const auto& g : c.groups) wanted += reference_solo_target(g, c.machines) - 1;
+    ++(wanted > c.machines - c.groups.size() ? constrained : plentiful);
+  }
+  // Both regimes are exercised: machines running out (the water-fill) and
+  // every group reaching its balance point.
+  EXPECT_GT(constrained, 600u);
+  EXPECT_GT(plentiful, 600u);
+}
+
+TEST(AllocateMachines, GallopMatchesBisectionWhenMachinesArePlentiful) {
+  Scheduler s;
+  std::mt19937_64 rng(16);
+  for (int i = 0; i < 3000; ++i) {
+    AllocCase c = random_alloc_case(rng);
+    // Give each group the chance to reach its target, so the result is
+    // exactly the per-group balance searches.
+    std::vector<std::size_t> targets;
+    std::size_t wanted = 0;
+    for (const auto& g : c.groups) {
+      targets.push_back(reference_solo_target(g, c.machines));
+      wanted += targets.back() - 1;
+    }
+    if (wanted > c.machines - c.groups.size()) continue;
+    EXPECT_EQ(s.allocate_machines(c.groups, c.machines), targets) << "case " << i;
+  }
+}
+
+TEST(AllocateMachines, SingleGroupAndDuplicatedGroups) {
+  Scheduler s;
+  const std::vector<SchedJob> group{job(0, 900, 2), job(1, 300, 5), job(2, 60, 1)};
+  // One group takes its balance point or, short of it, every machine.
+  for (const std::size_t machines : {1u, 2u, 7u, 64u, 140u, 141u, 1000u, 20000u}) {
+    const std::vector<std::vector<SchedJob>> one{group};
+    EXPECT_EQ(s.allocate_machines(one, machines), reference_greedy(one, machines))
+        << machines;
+  }
+  // Identical groups tie on every gain: the smaller index wins each tie, so
+  // the split differs by at most one machine, in the first group's favour.
+  for (const std::size_t copies : {std::size_t{2}, std::size_t{3}, std::size_t{8}}) {
+    const std::vector<std::vector<SchedJob>> same(copies, group);
+    for (const std::size_t machines :
+         {copies, copies + 1, 2 * copies + 1, std::size_t{100}, std::size_t{20000}}) {
+      const auto got = s.allocate_machines(same, machines);
+      EXPECT_EQ(got, reference_greedy(same, machines)) << copies << " x " << machines;
+      EXPECT_LE(got.front() - got.back(), 1u);
+    }
+  }
+}
+
+TEST(AllocateMachines, NonFiniteProfilesTerminateWithinTheCluster) {
+  Scheduler s;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double odd[] = {inf, -inf, nan, 0.0, -1.0, 1e308, 5e-324};
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    AllocCase c = random_alloc_case(rng);
+    // Poison a few profile fields.
+    for (auto& g : c.groups)
+      for (SchedJob& j : g) {
+        if (rng() % 4 == 0) j.profile.cpu_work = odd[rng() % std::size(odd)];
+        if (rng() % 4 == 0) j.profile.t_net = odd[rng() % std::size(odd)];
+      }
+    const auto alloc = s.allocate_machines(c.groups, c.machines);
+    ASSERT_EQ(alloc.size(), c.groups.size());
+    std::size_t total = 0;
+    for (std::size_t a : alloc) {
+      EXPECT_GE(a, 1u);
+      total += a;
+    }
+    EXPECT_LE(total, c.machines) << "case " << i;
+  }
 }
 
 TEST(Schedule, EmptyInputs) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -312,6 +314,34 @@ TEST(Service, RejectsClosedLoopBatchArrivals) {
   auto config = small_service_config();
   config.arrival_kind = "batch";
   EXPECT_THROW(svc::Service(config, exp::make_catalog()), check::CheckError);
+}
+
+TEST(Service, ConfigurationsThatCannotRunThrow) {
+  const auto catalog = exp::make_catalog();
+  const auto rejects = [&](const char* what, auto&& mutate) {
+    svc::ServiceConfig config = small_service_config();
+    mutate(config);
+    EXPECT_THROW(svc::Service(config, catalog), std::invalid_argument) << what;
+  };
+  rejects("infinite mean gap", [](svc::ServiceConfig& c) {
+    c.mean_interarrival_sec = std::numeric_limits<double>::infinity();
+  });
+  rejects("gap below the clock's resolution",
+          [](svc::ServiceConfig& c) { c.mean_interarrival_sec = 1e-300; });
+  rejects("more arrivals than job ids", [](svc::ServiceConfig& c) {
+    c.mean_interarrival_sec = c.duration_sec / 5e9;
+  });
+  rejects("infinite duration", [](svc::ServiceConfig& c) {
+    c.duration_sec = std::numeric_limits<double>::infinity();
+  });
+  rejects("slack not above the drift threshold", [](svc::ServiceConfig& c) {
+    c.incremental.drift_threshold = 1e308;
+    c.equivalence_slack = c.incremental.drift_threshold + 0.25;
+  });
+  // The largest rate that fits still constructs.
+  svc::ServiceConfig config = small_service_config();
+  config.mean_interarrival_sec = config.duration_sec / 4e9;
+  EXPECT_NO_THROW(svc::Service(config, catalog));
 }
 
 TEST(Service, StateValidatesCleanAfterRunAndCorruptionIsDetected) {

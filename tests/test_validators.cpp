@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -258,14 +259,15 @@ TEST(ClusterSimValidate, HealthyRunIsCleanAtEveryRegroupEvent) {
 }
 
 struct CorruptionCase {
-  CorruptionCase(exp::ClusterSim::Corruption k, const char* n) : kind(k), needle(n) {}
   exp::ClusterSim::Corruption kind;
-  // gtest prints the parameter's raw bytes into the test name; an explicit
-  // zero field where padding would be keeps those bytes deterministic.
-  std::uint32_t zero = 0;
+  const char* name;
   const char* needle;  // the report must name the broken invariant
 };
-static_assert(sizeof(CorruptionCase) == sizeof(std::uint32_t) * 2 + sizeof(const char*));
+
+// Test names carry the parameter as gtest prints it (ctest's discovered names
+// are "<test>/<printed parameter>"), so print the kind's name rather than the
+// struct's raw bytes, which include a pointer and padding.
+void PrintTo(const CorruptionCase& c, std::ostream* os) { *os << c.name; }
 
 class ClusterSimCorruption : public ::testing::TestWithParam<CorruptionCase> {};
 
@@ -293,16 +295,17 @@ TEST_P(ClusterSimCorruption, InjectedCorruptionTripsItsValidator) {
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, ClusterSimCorruption,
     ::testing::Values(
-        CorruptionCase{exp::ClusterSim::Corruption::kBadIndexEntry, "index"},
+        CorruptionCase{exp::ClusterSim::Corruption::kBadIndexEntry, "BadIndexEntry", "index"},
         CorruptionCase{exp::ClusterSim::Corruption::kOverAllocatedMachine,
-                       "machine conservation"},
-        CorruptionCase{exp::ClusterSim::Corruption::kSkewedSpillAlpha,
+                       "OverAllocatedMachine", "machine conservation"},
+        CorruptionCase{exp::ClusterSim::Corruption::kSkewedSpillAlpha, "SkewedSpillAlpha",
                        "disk ratio out of range"},
-        CorruptionCase{exp::ClusterSim::Corruption::kBrokenMembership,
+        CorruptionCase{exp::ClusterSim::Corruption::kBrokenMembership, "BrokenMembership",
                        "bidirectional"},
-        CorruptionCase{exp::ClusterSim::Corruption::kSwappedIdleOrder,
+        CorruptionCase{exp::ClusterSim::Corruption::kSwappedIdleOrder, "SwappedIdleOrder",
                        "broken submit order"},
-        CorruptionCase{exp::ClusterSim::Corruption::kStaleSchedView, "stale view"}));
+        CorruptionCase{exp::ClusterSim::Corruption::kStaleSchedView, "StaleSchedView",
+                       "stale view"}));
 
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();

@@ -132,6 +132,10 @@ T parse_number(const char* argv0, const std::string& flag, const std::string& te
   return value;
 }
 
+// How far the CLI raises the equivalence validator's slack above a --drift
+// threshold that reaches it.
+constexpr double kSlackMargin = 0.25;
+
 // Fatal-signal hook: pull the flight recorder's handle, then re-raise with
 // the default disposition so the exit status still reflects the signal. The
 // dump allocates — not strictly async-signal-safe, but the process is doomed
@@ -194,8 +198,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--duration") {
       svc_config.duration_sec = parse_number<double>(argv[0], arg, next(), true);
     } else if (arg == "--arrival-rate") {
-      svc_config.mean_interarrival_sec =
-          1.0 / parse_number<double>(argv[0], arg, next(), true);
+      const std::string text = next();
+      svc_config.mean_interarrival_sec = 1.0 / parse_number<double>(argv[0], arg, text, true);
+      if (!std::isfinite(svc_config.mean_interarrival_sec))
+        usage_error(argv[0], "invalid value '" + text + "' for " + arg +
+                                 " (the mean gap 1/rate overflows)");
     } else if (arg == "--admission") {
       const std::string name = next();
       const auto policy = svc::parse_admission_policy(name);
@@ -204,8 +211,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-cap") {
       svc_config.queue_capacity = parse_number<std::size_t>(argv[0], arg, next());
     } else if (arg == "--drift") {
-      svc_config.incremental.drift_threshold =
-          parse_number<double>(argv[0], arg, next(), true);
+      const std::string text = next();
+      const double drift = parse_number<double>(argv[0], arg, text, true);
+      // Above about 1e15 the raised slack would round back to the threshold.
+      if (!(drift + kSlackMargin > drift))
+        usage_error(argv[0], "invalid value '" + text + "' for " + arg +
+                                 " (too large to leave room for the equivalence slack)");
+      svc_config.incremental.drift_threshold = drift;
     } else if (arg == "--seed") {
       config.seed = parse_number<std::uint64_t>(argv[0], arg, next());
     } else if (arg == "--naive-seed") {
@@ -303,7 +315,11 @@ int main(int argc, char** argv) {
     // Keep the equivalence validator meaningful when --drift is raised above
     // the default slack (the Service constructor requires slack > threshold).
     if (svc_config.equivalence_slack <= svc_config.incremental.drift_threshold)
-      svc_config.equivalence_slack = svc_config.incremental.drift_threshold + 0.25;
+      svc_config.equivalence_slack = svc_config.incremental.drift_threshold + kSlackMargin;
+    if (!svc::arrivals_fit_job_ids(svc_config.duration_sec, svc_config.mean_interarrival_sec))
+      usage_error(argv[0], std::string(arrival_set ? "--arrival" : "--arrival-rate") +
+                               " is too fast for --duration: the run would submit more "
+                               "jobs than the 32-bit job ids can name");
 
     // Any telemetry request implies ticking; the default cadence is one
     // window per simulated minute.
