@@ -1,10 +1,10 @@
 // Online statistics used by the profiler and the experiment harness.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <limits>
 
 namespace harmony {
@@ -67,30 +67,37 @@ class MovingAverage {
   std::size_t count_ = 0;
 };
 
-// Fixed-capacity sliding-window mean; used where a bounded memory footprint
-// matters (per-subtask traces on workers).
+// Fixed-capacity sliding-window mean over the last N samples, held in an
+// inline ring (no heap storage). Each add performs `sum += x` and then, once
+// the window is full, `sum -= evicted`, so the running sum matches a
+// push-back/pop-front deque bit for bit.
+template <std::size_t N>
 class WindowedAverage {
- public:
-  explicit WindowedAverage(std::size_t capacity) : capacity_(capacity) { assert(capacity > 0); }
+  static_assert(N > 0, "WindowedAverage needs a positive capacity");
 
-  void add(double x) {
-    window_.push_back(x);
+ public:
+  void add(double x) noexcept {
     sum_ += x;
-    if (window_.size() > capacity_) {
-      sum_ -= window_.front();
-      window_.pop_front();
+    if (size_ == N) {
+      sum_ -= ring_[head_];
+      ring_[head_] = x;
+      head_ = (head_ + 1) % N;
+    } else {
+      ring_[(head_ + size_) % N] = x;
+      ++size_;
     }
   }
 
-  std::size_t size() const noexcept { return window_.size(); }
-  bool empty() const noexcept { return window_.empty(); }
+  std::size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
   double mean() const noexcept {
-    return window_.empty() ? 0.0 : sum_ / static_cast<double>(window_.size());
+    return size_ == 0 ? 0.0 : sum_ / static_cast<double>(size_);
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<double> window_;
+  std::array<double, N> ring_{};
+  std::size_t head_ = 0;  // oldest sample once the window is full
+  std::size_t size_ = 0;
   double sum_ = 0.0;
 };
 

@@ -78,6 +78,10 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   // With no machines no job can ever be placed, so run() would never finish.
   if (config_.machines == 0)
     throw std::invalid_argument("ClusterSim: machines must be positive");
+  // run() walks the arrivals in (time, id) order, which needs a total order.
+  for (double a : arrivals_)
+    if (!std::isfinite(a))
+      throw std::invalid_argument("ClusterSim: arrival times must be finite");
   const std::size_t n = workload.size();
   // Reserve exactly: jobs_ must never reallocate (event callbacks capture
   // SimJob addresses).
@@ -90,7 +94,9 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
   job_resident_valid_.assign(n, 0);
   job_view_cache_.assign(n, core::SchedJob{});
   for (std::size_t i = 0; i < n; ++i) {
-    SimJob& job = jobs_.emplace_back(rng_.fork());
+    // One draw per job, in id order, seeds its noise stream; the engine is
+    // built at the job's first subtask.
+    SimJob& job = jobs_.emplace_back(rng_.next_u64());
     job.spec = workload[i];
     job.spec.id = static_cast<core::JobId>(i);
     if (config_.model_error_injection > 0.0) {
@@ -165,7 +171,10 @@ bool ClusterSim::fits_without_spill(const GroupRun& group, const SimJob& job) co
 
 void ClusterSim::place_fallback_isolated(SimJob& job) {
   if (job.group != nullptr || job.state == core::JobState::kFinished) return;
-  const std::size_t need = job.spec.min_machines_without_spill(config_.machine_spec);
+  // A job too big for the whole cluster still runs on all of it, thrashing
+  // through the OOM model (kOomSlowdownCap) instead of waiting forever.
+  const std::size_t need = std::min(
+      job.spec.min_machines_without_spill(config_.machine_spec), config_.machines);
   if (need > free_machines_) return;
   GroupRun& g = create_group({}, need);
   place_job_in_group(job, g, /*with_migration_delay=*/true);
@@ -226,7 +235,7 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
 // Job pipeline
 
 double ClusterSim::comm_half_duration(SimJob& job) {
-  return 0.5 * job.spec.t_net * job.noise.lognormal_noise(config_.subtask_noise_cv);
+  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
 }
 
 double ClusterSim::comp_duration(SimJob& job) {
@@ -264,7 +273,7 @@ double ClusterSim::comp_duration(SimJob& job) {
     extra += model_raw / config_.machine_spec.disk_bytes_per_sec +
              model_raw * spill_model_.params().deserialize_sec_per_byte;
   }
-  return (base * gc + extra) * job.noise.lognormal_noise(config_.subtask_noise_cv);
+  return (base * gc + extra) * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
 }
 
 void ClusterSim::start_iteration(SimJob& job) {
@@ -396,6 +405,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
   if (job.iterations_done >= job.spec.iterations) {
     job.state = core::JobState::kFinished;
     job.finish_time = sim_.now();
+    job.noise.reset();  // a finished job draws no more noise
     summary_.jobs.push_back(JobOutcome{job.spec.id, arrivals_[job.spec.id], job.finish_time});
     auto it = std::find(g.members.begin(), g.members.end(), job.spec.id);
     if (it != g.members.end()) g.members.erase(it);
@@ -577,8 +587,21 @@ void ClusterSim::dissolve_group(GroupRun& group) {
                          static_cast<std::uint32_t>(group.id));
   free_machines_ += group.machines;
   group.machines = 0;
-  // The GroupRun object stays alive (resources may still fire no-op events);
-  // it simply no longer participates in views or utilization accounting.
+  // The GroupRun shell stays at its address, because late migration events
+  // compare job.group == &group, but what only a live group needs goes now.
+  // A lane may go only once nothing of its own is queued or in service (a
+  // completion event captures the lane); it is always idle here, since every
+  // member has left, and the validators flag a dissolved group that kept one.
+  if (group.lanes_idle()) {
+    group.cpu_fifo.reset();
+    group.net_fifo.reset();
+    group.cpu_shared.reset();
+    group.net_shared.reset();
+  }
+  group.occ_ctl.reset();
+  group.actual_iteration_times = SampleSet{};
+  group.members.shrink_to_fit();
+  group.predicted_titr = 0.0;  // settled above; nothing left to settle
   try_apply_pending();
 }
 
@@ -1444,27 +1467,59 @@ void ClusterSim::sample_utilization() {
   groups_live.set(static_cast<double>(running_groups));
   free_machines.set(static_cast<double>(free_machines_));
 
-  // Keep sampling while anything is active or still to come.
-  if (unfinished_count_ > 0) sim_.schedule_in(window, [this] { sample_utilization(); });
+  // Keep sampling while anything is active or still to come. With no other
+  // event pending nothing can change any more, so an unfinished job there is
+  // stranded: stop, and let run() report it.
+  if (unfinished_count_ > 0 && sim_.pending() > 0)
+    sim_.schedule_in(window, [this] { sample_utilization(); });
 }
 
 // ---------------------------------------------------------------------------
 
+void ClusterSim::schedule_next_arrival() {
+  if (next_arrival_ == arrival_order_.size()) return;
+  const core::JobId id = arrival_order_[next_arrival_++];
+  sim_.schedule_reserved(arrivals_[id], arrival_seq_base_ + id, [this, id] {
+    schedule_next_arrival();
+    on_job_arrival(jobs_[id]);
+  });
+}
+
 RunSummary ClusterSim::run() {
   summary_ = RunSummary{};
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    SimJob* j = &jobs_[i];
-    sim_.schedule_at(arrivals_[i], [this, j] { on_job_arrival(*j); });
-  }
+  // Arrivals pop in (time, seq) order with seq = base + id, as if all were
+  // queued up front: that is (time, id) order. Only the next one is pending
+  // at a time; each arrival queues its successor before anything later can
+  // pop, so the pop order is the same as with every arrival queued.
+  arrival_order_.resize(jobs_.size());
+  for (std::size_t i = 0; i < jobs_.size(); ++i)
+    arrival_order_[i] = static_cast<core::JobId>(i);
+  std::sort(arrival_order_.begin(), arrival_order_.end(),
+            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+  next_arrival_ = 0;
+  arrival_seq_base_ = sim_.reserve_seqs(jobs_.size());
+  schedule_next_arrival();
   sim_.schedule_in(config_.util_sample_window_sec, [this] { sample_utilization(); });
   sim_.run(200'000'000ULL);
+
+  if (unfinished_count_ > 0) {
+    const auto stranded = std::find_if(jobs_.begin(), jobs_.end(), [](const SimJob& j) {
+      return j.state != core::JobState::kFinished;
+    });
+    throw std::runtime_error(
+        "ClusterSim: " + std::to_string(unfinished_count_) + " of " +
+        std::to_string(jobs_.size()) + " jobs never finished (first: job " +
+        std::to_string(stranded->spec.id) + ", state " + core::to_string(stranded->state) +
+        (stranded->arrived ? "" : ", never arrived") + ", at t=" +
+        std::to_string(sim_.now()) + " after " + std::to_string(sim_.events_fired()) +
+        " events)");
+  }
 
   for (GroupRun& g : groups_)
     if (!g.dissolved) settle_group_prediction(g);
   maybe_validate();
 
-  double first_arrival = arrivals_.empty() ? 0.0 : arrivals_.front();
-  for (double a : arrivals_) first_arrival = std::min(first_arrival, a);
+  const double first_arrival = arrival_order_.empty() ? 0.0 : arrivals_[arrival_order_.front()];
   summary_.makespan = summary_.max_finish() - first_arrival;
   summary_.avg_util = timeline_.average_until(summary_.makespan);
   const double total = gc_lost_seconds_ + comp_base_seconds_;

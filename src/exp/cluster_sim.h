@@ -135,7 +135,9 @@ class ClusterSim {
   ClusterSim(const ClusterSim&) = delete;
   ClusterSim& operator=(const ClusterSim&) = delete;
 
-  // Runs the whole workload to completion and returns the summary.
+  // Runs the whole workload to completion and returns the summary. Throws
+  // std::runtime_error, naming the first stranded job, if any job is still
+  // unfinished when no event is left to fire (or at the 200M-event guard).
   RunSummary run();
 
   const UtilizationTimeline& timeline() const noexcept { return timeline_; }
@@ -186,6 +188,12 @@ class ClusterSim {
     kBrokenMembership,      // group drops a member that still points at it
     kSwappedIdleOrder,      // two idle-index ids out of (submit_time, id) order
     kStaleSchedView,        // a memoized scheduler view no longer matches the profiler
+    kLeakedNoiseEngine,     // a finished job still owns its noise engine
+    kLeakedGroupLanes,      // a dissolved group still owns a lane
+    kMissingGroupLane,      // a live group's idle CPU lane is gone
+    // A waiting job drops out of the waiting indexes, so no scheduling pass
+    // ever sees it again: with validation off, run() strands it and throws.
+    kStrandedWaitingJob,
   };
   void corrupt_for_test(Corruption kind);
 
@@ -226,6 +234,9 @@ class ClusterSim {
   void place_fallback_isolated(SimJob& job);
 
   // --- scheduling ---------------------------------------------------------
+  // Queues the next arrival in (time, id) order under its reserved sequence
+  // number; each arrival event calls it again.
+  void schedule_next_arrival();
   void on_job_arrival(SimJob& job);
   void on_job_profiled(SimJob& job);
   void on_job_finished(SimJob& job);
@@ -305,6 +316,10 @@ class ClusterSim {
   Rng rng_;
 
   sim::Simulator sim_;
+  // Job ids in (submit_time, id) order, walked by schedule_next_arrival.
+  std::vector<core::JobId> arrival_order_;
+  std::size_t next_arrival_ = 0;
+  std::uint64_t arrival_seq_base_ = 0;
   // Dense by JobId (== pool index). Sized once in the constructor and never
   // resized afterwards, so SimJob addresses are stable for the whole run —
   // event callbacks capture SimJob* directly.

@@ -4,6 +4,7 @@
 // public surface — include only from exp/ implementation files.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -36,7 +37,11 @@ struct ClusterSim::SimJob {
   // Systematic profile-error factors for Fig. 13a (1.0 = exact).
   double err_cpu = 1.0;
   double err_net = 1.0;
-  Rng noise;
+  // Subtask-noise stream. The seed is drawn from the simulation's Rng in the
+  // constructor (job-id order); the 2.5 KB engine itself exists only between
+  // the job's first draw and its finish (noise_rng / end_iteration).
+  std::uint64_t noise_seed = 0;
+  std::unique_ptr<Rng> noise;
 
   // Index memberships maintained by ClusterSim::reindex_job. They mirror the
   // predicates the event handlers used to evaluate with whole-pool scans.
@@ -47,7 +52,12 @@ struct ClusterSim::SimJob {
   bool counted_profiled_ungrouped = false;
   bool counted_finished = false;
 
-  explicit SimJob(Rng rng) : noise(rng) {}
+  explicit SimJob(std::uint64_t seed) : noise_seed(seed) {}
+
+  Rng& noise_rng() {
+    if (!noise) noise = std::make_unique<Rng>(noise_seed);
+    return *noise;
+  }
 };
 
 struct ClusterSim::GroupRun {
@@ -68,7 +78,7 @@ struct ClusterSim::GroupRun {
   // group; every member's α is the smallest ratio fitting that target, so
   // ratios stay per-job while the climb is coordinated.
   std::optional<core::AlphaController> occ_ctl;
-  WindowedAverage recent_walls{8};
+  WindowedAverage<8> recent_walls;
   std::size_t iters_since_alpha_update = 0;
 
   // Utilization sampling state.
@@ -82,6 +92,23 @@ struct ClusterSim::GroupRun {
   double cpu_busy_at_predict = 0.0;
   double net_busy_at_predict = 0.0;
   SampleSet actual_iteration_times;
+
+  // Lanes and spill controller are held only while the group is live:
+  // ClusterSim::dissolve_group releases them once the lanes are idle, and
+  // the shell stays so late no-op events can still compare addresses.
+  bool holds_resources() const noexcept {
+    return cpu_fifo || net_fifo || cpu_shared || net_shared || occ_ctl;
+  }
+  bool lanes_idle() const noexcept {
+    const auto fifo_idle = [](const std::unique_ptr<sim::FifoResource>& r) {
+      return !r || (!r->busy() && r->queue_length() == 0);
+    };
+    const auto shared_idle = [](const std::unique_ptr<sim::SharedResource>& r) {
+      return !r || r->active() == 0;
+    };
+    return fifo_idle(cpu_fifo) && fifo_idle(net_fifo) && shared_idle(cpu_shared) &&
+           shared_idle(net_shared);
+  }
 
   double cpu_busy() const {
     return cpu_fifo ? cpu_fifo->busy_time() : cpu_shared->work_completed();

@@ -87,6 +87,28 @@ check::ValidationReport ClusterSim::validate_state() const {
         << "membership not bidirectional: job points at a group that does not list it";
   }
 
+  // -- lifetimes of per-job and per-group state -------------------------------
+  // A job's noise engine lives from its first draw to its finish; a group's
+  // lanes and spill controller from its creation to its dissolve. Anything
+  // held past that is memory that grows with every job ever submitted.
+  for (const SimJob& j : jobs_)
+    if (j.state == core::JobState::kFinished)
+      HARMONY_VALIDATE(v, j.noise == nullptr)
+          << check::job(j.spec.id) << "finished job still owns a noise engine";
+  const bool pipelined = config_.exec == ExecModel::kPipelined;
+  for (const GroupRun& g : groups_) {
+    if (g.dissolved) {
+      HARMONY_VALIDATE(v, !g.holds_resources())
+          << check::group(g.id) << "dissolved group still owns resources (lanes or "
+          << "spill controller)";
+      continue;
+    }
+    const bool lanes = pipelined ? (g.cpu_fifo && g.net_fifo && !g.cpu_shared && !g.net_shared)
+                                 : (g.cpu_shared && g.net_shared && !g.cpu_fifo && !g.net_fifo);
+    HARMONY_VALIDATE(v, lanes) << check::group(g.id) << "live group is missing its "
+                               << (pipelined ? "FIFO" : "shared") << " resources";
+  }
+
   // -- job-state sanity -----------------------------------------------------
   for (const SimJob& j : jobs_) {
     const core::JobId id = j.spec.id;
@@ -336,6 +358,48 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
           return;
         }
       break;
+    }
+    case Corruption::kLeakedNoiseEngine: {
+      for (SimJob& j : jobs_)
+        if (j.state == core::JobState::kFinished) {
+          j.noise_rng();
+          return;
+        }
+      break;
+    }
+    case Corruption::kLeakedGroupLanes: {
+      for (GroupRun& g : groups_)
+        if (g.dissolved) {
+          g.cpu_fifo = std::make_unique<sim::FifoResource>(sim_, "leaked");
+          return;
+        }
+      break;
+    }
+    case Corruption::kMissingGroupLane: {
+      // Only an idle lane may go: a queued task or a pending completion event
+      // would outlive it.
+      for (GroupRun& g : groups_) {
+        if (g.dissolved) continue;
+        if (g.cpu_fifo && !g.cpu_fifo->busy() && g.cpu_fifo->queue_length() == 0) {
+          g.cpu_fifo.reset();
+          return;
+        }
+        if (g.cpu_shared && g.cpu_shared->active() == 0) {
+          g.cpu_shared.reset();
+          return;
+        }
+      }
+      break;
+    }
+    case Corruption::kStrandedWaitingJob: {
+      // Out of both waiting indexes, with the membership flag cleared so the
+      // job's index bits agree with the vectors: nothing re-adds it.
+      if (waiting_ids_.empty()) break;
+      const core::JobId id = waiting_by_submit_.front();
+      waiting_by_submit_.erase(waiting_by_submit_.begin());
+      waiting_ids_.erase(std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), id));
+      jobs_[id].in_waiting_index = false;
+      return;
     }
     case Corruption::kBrokenMembership: {
       // Group forgets a member that still points at it.

@@ -43,14 +43,31 @@ class Simulator {
   // same instant fire in scheduling order (stable FIFO tie-break).
   template <typename F>
   EventId schedule_at(double t, F&& cb) {
-    if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
-    const EventArena::Handle h = arena_.emplace(std::forward<F>(cb));
-    heap_.push(EventNode{t, next_seq_++, h.slot, h.gen});
-    return (static_cast<EventId>(h.gen) << 32) | h.slot;
+    return push(t, next_seq_++, std::forward<F>(cb));
   }
   template <typename F>
   EventId schedule_in(double dt, F&& cb) {
     return schedule_at(now_ + dt, std::forward<F>(cb));
+  }
+
+  // Reserves `n` consecutive sequence numbers, as if `n` events were
+  // scheduled right now, and returns the first. schedule_reserved(t, first +
+  // k, cb) later queues an event under one of them. It pops exactly where an
+  // event scheduled at reservation time would have, provided it is queued
+  // before any event that orders after it pops. A caller with many known
+  // future events (ClusterSim's arrivals) can so keep one pending at a time.
+  std::uint64_t reserve_seqs(std::uint64_t n) noexcept {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+  // Schedules `cb` at `t` under a sequence number from reserve_seqs. Each
+  // reserved number is meant to be used once.
+  template <typename F>
+  EventId schedule_reserved(double t, std::uint64_t seq, F&& cb) {
+    if (seq == 0 || seq >= next_seq_)
+      throw std::invalid_argument("Simulator: sequence number was never reserved");
+    return push(t, seq, std::forward<F>(cb));
   }
 
   // Cancels a pending event; cancelling an already-fired or unknown id is a
@@ -94,6 +111,13 @@ class Simulator {
   void corrupt_queue_duplicate_for_test() { heap_.push_duplicate_for_test(); }
 
  private:
+  template <typename F>
+  EventId push(double t, std::uint64_t seq, F&& cb) {
+    if (t < now_) throw std::invalid_argument("Simulator: scheduling into the past");
+    const EventArena::Handle h = arena_.emplace(std::forward<F>(cb));
+    heap_.push(EventNode{t, seq, h.slot, h.gen});
+    return (static_cast<EventId>(h.gen) << 32) | h.slot;
+  }
   void maybe_compact();
 
   BinaryHeapQueue heap_;

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <ostream>
+#include <stdexcept>
+#include <string>
 
 #include "exp/arrivals.h"
 #include "exp/cluster_sim.h"
@@ -117,6 +123,37 @@ TEST(ClusterSim, SpillPreventsOom) {
   const auto summary_yes = sim_yes.run();
   EXPECT_EQ(summary_yes.oom_events, 0u);
   EXPECT_GE(summary_no.oom_events, summary_yes.oom_events);
+  // Two jobs need more machines than the cluster has to fit without spill;
+  // they run on all of it, thrashing, rather than waiting forever.
+  EXPECT_EQ(summary_no.jobs.size(), 10u);
+}
+
+// A job that can never be placed must fail the run loudly. The corruption
+// hook drops the FIFO head out of the waiting indexes, so no scheduling pass
+// sees it again; the sampler then stops with the queue otherwise drained.
+TEST(ClusterSim, StrandedJobThrows) {
+  ClusterSimConfig config = ClusterSimConfig::isolated();
+  config.machines = 8;
+  auto workload = small_workload(6);
+  ClusterSim sim(config, workload, batch_arrivals(workload.size()));
+  sim.schedule_corruption_for_test(1.0, ClusterSim::Corruption::kStrandedWaitingJob);
+  try {
+    sim.run();
+    FAIL() << "a stranded run returned a summary";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 of 6 jobs never finished"), std::string::npos) << what;
+    EXPECT_NE(what.find("state waiting"), std::string::npos) << what;
+  }
+  EXPECT_LT(sim.events_fired(), 100'000u);
+}
+
+TEST(ClusterSim, NonFiniteArrivalThrows) {
+  auto workload = small_workload(3);
+  std::vector<double> arrivals = batch_arrivals(workload.size());
+  arrivals[1] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(ClusterSim(ClusterSimConfig::harmony(), workload, arrivals),
+               std::invalid_argument);
 }
 
 TEST(ClusterSim, PoissonArrivalsRespectSubmitTimes) {
@@ -219,6 +256,107 @@ TEST_P(PolicySweep, AllJobsFinishExactlyOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep, ::testing::Values(0, 1, 2));
+
+// ---------------------------------------------------------------------------
+// Event-order pins. Each case's run hash and event count were recorded
+// from the simulator that queued every arrival up front; run() now keeps one
+// arrival pending at a time under its reserved sequence number, and these
+// cases cover the orderings that change could disturb.
+
+// Hashes the summary plus the sampler's concurrency averages, which see
+// whether a same-instant arrival fired before or after a sampler tick.
+std::uint64_t run_hash(const ClusterSim& sim, const RunSummary& s) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a over the raw bits
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_d = [&mix](double d) { mix(std::bit_cast<std::uint64_t>(d)); };
+  for (const JobOutcome& j : s.jobs) {
+    mix(j.job);
+    mix_d(j.submit_time);
+    mix_d(j.finish_time);
+  }
+  mix_d(s.makespan);
+  mix_d(s.avg_util.cpu);
+  mix_d(s.avg_util.net);
+  mix_d(s.gc_time_fraction);
+  mix_d(s.migration_overhead_sec);
+  mix(s.regroup_events);
+  mix(s.oom_events);
+  mix_d(sim.avg_concurrent_jobs());
+  mix_d(sim.avg_concurrent_groups());
+  return h;
+}
+
+struct OrderCase {
+  const char* name;
+  ClusterSimConfig config;
+  std::size_t machines;
+  std::vector<double> (*arrivals)(std::size_t n);
+  // Queues a corruption event before run() at the 4th arrival's instant: it
+  // holds a lower sequence number than every arrival, so it fires first.
+  bool corrupt_at_arrival;
+  std::uint64_t want_hash;
+  std::uint64_t want_events;
+};
+
+void PrintTo(const OrderCase& c, std::ostream* os) { *os << c.name; }
+
+std::vector<double> all_at_zero(std::size_t n) { return batch_arrivals(n); }
+
+// Submit times run backwards against ids, with ties: (time, id) order is
+// neither id order nor a plain time sort of distinct values.
+std::vector<double> out_of_id_order(std::size_t n) {
+  std::vector<double> a(n);
+  for (std::size_t i = 0; i < n; ++i) a[i] = 400.0 * static_cast<double>((n - 1 - i) / 2);
+  return a;
+}
+
+// Pairs of arrivals exactly on the utilization sampler's 60 s ticks.
+std::vector<double> on_sampler_ticks(std::size_t n) {
+  std::vector<double> a(n);
+  for (std::size_t i = 0; i < n; ++i) a[i] = 60.0 * static_cast<double>(1 + i / 2);
+  return a;
+}
+
+class ClusterSimOrder : public ::testing::TestWithParam<OrderCase> {};
+
+TEST_P(ClusterSimOrder, MatchesRecordedRun) {
+  const OrderCase& c = GetParam();
+  ClusterSimConfig config = c.config;
+  config.machines = c.machines;
+  const auto workload = small_workload(10);
+  const auto arrivals = c.arrivals(workload.size());
+  ClusterSim sim(config, workload, arrivals);
+  if (c.corrupt_at_arrival)
+    sim.schedule_corruption_for_test(arrivals[3], ClusterSim::Corruption::kStaleSchedView);
+  const RunSummary summary = sim.run();
+  EXPECT_EQ(summary.jobs.size(), workload.size());
+  EXPECT_EQ(sim.events_fired(), c.want_events);
+  EXPECT_EQ(run_hash(sim, summary), c.want_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Arrivals, ClusterSimOrder,
+    ::testing::Values(
+        OrderCase{"HarmonyBatch", ClusterSimConfig::harmony(), 20, all_at_zero, false,
+                  5007325647469017844ULL, 657},
+        OrderCase{"IsolatedBatch", ClusterSimConfig::isolated(), 12, all_at_zero, false,
+                  9500748442603199652ULL, 1562},
+        OrderCase{"HarmonyOutOfIdOrder", ClusterSimConfig::harmony(), 16, out_of_id_order,
+                  false, 4948137746182741041ULL, 686},
+        OrderCase{"NaiveOutOfIdOrder", ClusterSimConfig::naive(7), 16, out_of_id_order, false,
+                  5552556426854313483ULL, 1482},
+        OrderCase{"HarmonyOnSamplerTicks", ClusterSimConfig::harmony(), 16, on_sampler_ticks,
+                  false, 14134179016332367749ULL, 701},
+        OrderCase{"IsolatedOnSamplerTicks", ClusterSimConfig::isolated(), 64,
+                  on_sampler_ticks, false, 3395036670171637789ULL, 559},
+        // Same schedule as HarmonyOutOfIdOrder plus the one corruption event.
+        OrderCase{"HarmonyCorruptionAtArrival", ClusterSimConfig::harmony(), 16,
+                  out_of_id_order, true, 4948137746182741041ULL, 687}));
 
 }  // namespace
 }  // namespace harmony::exp

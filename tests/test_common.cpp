@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/histogram.h"
@@ -85,7 +88,7 @@ TEST(MovingAverage, ResetClears) {
 }
 
 TEST(WindowedAverage, SlidesWindow) {
-  WindowedAverage wa(3);
+  WindowedAverage<3> wa;
   wa.add(1.0);
   wa.add(2.0);
   wa.add(3.0);
@@ -93,6 +96,29 @@ TEST(WindowedAverage, SlidesWindow) {
   wa.add(10.0);  // evicts 1.0
   EXPECT_DOUBLE_EQ(wa.mean(), 5.0);
   EXPECT_EQ(wa.size(), 3u);
+}
+
+// The ring must keep the running sum exactly as a push-back/pop-front deque
+// does: the same additions and subtractions in the same order.
+TEST(WindowedAverage, RingMatchesDequeBitForBit) {
+  Rng rng(17);
+  WindowedAverage<8> ring;
+  std::deque<double> window;
+  double sum = 0.0;
+  for (int i = 0; i < 10'000; ++i) {
+    const double x = rng.uniform(-1.0, 1.0) * std::pow(10.0, rng.uniform_int(-6, 6));
+    ring.add(x);
+    window.push_back(x);
+    sum += x;
+    if (window.size() > 8) {
+      sum -= window.front();
+      window.pop_front();
+    }
+    ASSERT_EQ(ring.size(), window.size());
+    const double want = sum / static_cast<double>(window.size());
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ring.mean()), std::bit_cast<std::uint64_t>(want))
+        << "after " << i + 1 << " samples";
+  }
 }
 
 TEST(RelativeError, Basics) {

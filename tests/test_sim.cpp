@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +31,37 @@ TEST(Simulator, TieBreaksFifo) {
   sim.schedule_at(1.0, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// An event queued late under a reserved sequence number pops exactly where
+// it would have had it been scheduled at reservation time: after same-instant
+// events scheduled before the reservation, before those scheduled after it.
+TEST(Simulator, ReservedSequenceKeepsItsPlace) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(5.0, [&] { order.push_back(0); });
+  const std::uint64_t first = sim.reserve_seqs(3);
+  sim.schedule_at(5.0, [&] { order.push_back(4); });
+  sim.schedule_at(1.0, [&] {
+    // Queued out of order and long after the reservation.
+    sim.schedule_reserved(5.0, first + 2, [&] { order.push_back(3); });
+    sim.schedule_reserved(5.0, first, [&] {
+      order.push_back(1);
+      // Chained from inside a reserved event, as ClusterSim's arrivals are.
+      sim.schedule_reserved(5.0, first + 1, [&] { order.push_back(2); });
+    });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(Simulator, UnreservedSequenceThrows) {
+  Simulator sim;
+  sim.schedule_at(1.0, [] {});
+  const std::uint64_t first = sim.reserve_seqs(2);
+  EXPECT_THROW(sim.schedule_reserved(2.0, first + 2, [] {}), std::invalid_argument);
+  EXPECT_THROW(sim.schedule_reserved(2.0, 0, [] {}), std::invalid_argument);
+  EXPECT_NO_THROW(sim.schedule_reserved(2.0, first + 1, [] {}));
 }
 
 TEST(Simulator, CancelIsNoopAfterFire) {

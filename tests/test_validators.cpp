@@ -262,6 +262,10 @@ struct CorruptionCase {
   exp::ClusterSim::Corruption kind;
   const char* name;
   const char* needle;  // the report must name the broken invariant
+  // When the corruption lands. By 3000 s groups exist, spill ratios are live
+  // and indexes are busy; the lifetime kinds need a finished job or a
+  // dissolved group, and the first job finishes at about 7200 s.
+  double at = 3000.0;
 };
 
 // Test names carry the parameter as gtest prints it (ctest's discovered names
@@ -277,8 +281,7 @@ TEST_P(ClusterSimCorruption, InjectedCorruptionTripsItsValidator) {
   config.validate = true;
   auto workload = small_workload(12);
   exp::ClusterSim sim(config, workload, exp::batch_arrivals(workload.size()));
-  // Mid-run: groups exist, spill ratios are live, indexes are busy.
-  sim.schedule_corruption_for_test(3000.0, GetParam().kind);
+  sim.schedule_corruption_for_test(GetParam().at, GetParam().kind);
   try {
     sim.run();
     FAIL() << "corrupted state escaped validation";
@@ -305,7 +308,13 @@ INSTANTIATE_TEST_SUITE_P(
         CorruptionCase{exp::ClusterSim::Corruption::kSwappedIdleOrder, "SwappedIdleOrder",
                        "broken submit order"},
         CorruptionCase{exp::ClusterSim::Corruption::kStaleSchedView, "StaleSchedView",
-                       "stale view"}));
+                       "stale view"},
+        CorruptionCase{exp::ClusterSim::Corruption::kLeakedNoiseEngine, "LeakedNoiseEngine",
+                       "finished job still owns a noise engine", 8000.0},
+        CorruptionCase{exp::ClusterSim::Corruption::kLeakedGroupLanes, "LeakedGroupLanes",
+                       "dissolved group still owns resources", 8000.0},
+        CorruptionCase{exp::ClusterSim::Corruption::kMissingGroupLane, "MissingGroupLane",
+                       "live group is missing its FIFO resources"}));
 
 TEST(ClusterSimValidate, PostRunCorruptionCaughtByDirectCall) {
   exp::ClusterSimConfig config = exp::ClusterSimConfig::harmony();
