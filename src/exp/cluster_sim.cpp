@@ -19,6 +19,17 @@ namespace harmony::exp {
 namespace {
 constexpr double kOomSlowdownCap = 8.0;
 
+// Fixed model constants (no caller varies them).
+constexpr double kSubtaskNoiseCv = 0.03;  // lognormal noise on every subtask
+// Interference penalty for contended execution (per extra concurrent task).
+constexpr double kContentionPenalty = 0.08;
+constexpr std::size_t kNaiveJobsPerGroup = 3;
+// Profiling iterations before a job is schedulable.
+constexpr std::size_t kProfilingIterations = 3;
+// Concurrent jobs being profiled in steady state (§IV-B1).
+constexpr std::size_t kMaxProfilingJobs = 4;
+constexpr double kUtilSampleWindowSec = 60.0;
+
 // Simulated seconds -> trace microseconds.
 constexpr double kTraceUs = 1e6;
 
@@ -64,15 +75,12 @@ ClusterSim::ClusterSim(ClusterSimConfig config, std::vector<WorkloadSpec> worklo
     : config_(config),
       arrivals_(std::move(arrival_times)),
       memory_model_(config.memory_params),
-      spill_model_(config.spill_costs),
       scheduler_(config.scheduler),
       regrouper_(scheduler_, config.regrouper),
-      isolated_(),
-      naive_(baselines::NaiveScheduler::Params{config.naive_jobs_per_group}),
-      profiler_(core::Profiler::Params{0.3, config.profiling_iterations}),
+      profiler_(core::Profiler::Params{0.3, kProfilingIterations}),
       rng_(config.seed),
       free_machines_(config.machines),
-      timeline_(config.util_sample_window_sec) {
+      timeline_(kUtilSampleWindowSec) {
   if (arrivals_.size() != workload.size())
     throw std::invalid_argument("ClusterSim: arrivals/workload size mismatch");
   // With no machines no job can ever be placed, so run() would never finish.
@@ -161,11 +169,12 @@ double ClusterSim::group_occupancy(const GroupRun& group) const {
   return resident / config_.machine_spec.memory_bytes;
 }
 
-bool ClusterSim::fits_without_spill(const GroupRun& group, const SimJob& job) const {
+bool ClusterSim::fits_without_spill(std::size_t machines,
+                                    const std::vector<core::JobId>& members,
+                                    const SimJob& job) const {
   if (config_.spill_enabled || config_.grouping != GroupingPolicy::kHarmony) return true;
-  double resident = job.spec.resident_bytes(group.machines, 0.0);
-  for (core::JobId id : group.members)
-    resident += jobs_[id].spec.resident_bytes(group.machines, 0.0);
+  double resident = job.spec.resident_bytes(machines, 0.0);
+  for (core::JobId id : members) resident += jobs_[id].spec.resident_bytes(machines, 0.0);
   return resident <= 0.9 * config_.machine_spec.memory_bytes;
 }
 
@@ -176,14 +185,14 @@ void ClusterSim::place_fallback_isolated(SimJob& job) {
   const std::size_t need = std::min(
       job.spec.min_machines_without_spill(config_.machine_spec), config_.machines);
   if (need > free_machines_) return;
-  GroupRun& g = create_group({}, need);
+  GroupRun& g = create_group(need);
   place_job_in_group(job, g, /*with_migration_delay=*/true);
   group_dops_.add(static_cast<double>(need));
   group_sizes_.add(1.0);
   record_group_prediction(g);
 }
 
-void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
+void ClusterSim::refresh_alpha(SimJob& job) {
   const core::JobId jid = job.spec.id;
   if (!config_.spill_enabled || job.group == nullptr) {
     set_alpha(jid, 0.0);
@@ -205,12 +214,11 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
   }
   const double share = config_.machine_spec.memory_bytes /
                        std::max<double>(1.0, static_cast<double>(job.group->members.size()));
-  (void)initialize;
   const double prev_alpha = job_alpha_[jid];
   // α is the smallest ratio whose resident footprint fits the group's
   // current occupancy target (per-job ratios, coordinated target, §IV-C).
   const double target = job.group->occ_ctl ? job.group->occ_ctl->alpha()
-                                           : config_.alpha_floor_occupancy;
+                                           : kAlphaFloorOccupancy;
   cluster::MemoryModelParams floor_params = config_.memory_params;
   floor_params.gc_threshold = target;
   const double alpha = core::AlphaController::initial_alpha(
@@ -235,7 +243,7 @@ void ClusterSim::refresh_alpha(SimJob& job, bool initialize) {
 // Job pipeline
 
 double ClusterSim::comm_half_duration(SimJob& job) {
-  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
+  return 0.5 * job.spec.t_net * job.noise_rng().lognormal_noise(kSubtaskNoiseCv);
 }
 
 double ClusterSim::comp_duration(SimJob& job) {
@@ -273,7 +281,7 @@ double ClusterSim::comp_duration(SimJob& job) {
     extra += model_raw / config_.machine_spec.disk_bytes_per_sec +
              model_raw * spill_model_.params().deserialize_sec_per_byte;
   }
-  return (base * gc + extra) * job.noise_rng().lognormal_noise(config_.subtask_noise_cv);
+  return (base * gc + extra) * job.noise_rng().lognormal_noise(kSubtaskNoiseCv);
 }
 
 void ClusterSim::start_iteration(SimJob& job) {
@@ -395,7 +403,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
       g.iters_since_alpha_update = 0;
       g.occ_ctl->observe(g.recent_walls.mean());
       for (core::JobId id : g.members) {
-        refresh_alpha(jobs_[id], /*initialize=*/false);
+        refresh_alpha(jobs_[id]);
         alpha_samples_.add(job_alpha_[id]);
       }
     }
@@ -421,7 +429,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
 
   // Profiling complete?
   if (job.state == core::JobState::kProfiling &&
-      job.profile_iterations >= config_.profiling_iterations) {
+      job.profile_iterations >= kProfilingIterations) {
     on_job_profiled(job);
     // The job may have been parked, or migrated into another group —
     // migration schedules its own (delayed) start, so continuing here would
@@ -441,8 +449,7 @@ void ClusterSim::end_iteration(SimJob& job, double comm_duration, double comp_du
 // ---------------------------------------------------------------------------
 // Group management
 
-ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& member_ids,
-                                               std::size_t machines) {
+ClusterSim::GroupRun& ClusterSim::create_group(std::size_t machines) {
   if (machines == 0) throw std::logic_error("create_group: zero machines");
   if (machines > free_machines_) throw std::logic_error("create_group: not enough machines");
   free_machines_ -= machines;
@@ -458,9 +465,9 @@ ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& m
     // Contended execution: concurrent steps split the capacity and pay an
     // interference penalty — the naive co-location behaviour of Fig. 5a.
     g.cpu_shared = std::make_unique<sim::SharedResource>(sim_, tag + "-cpu", 1.0,
-                                                         config_.contention_penalty);
+                                                         kContentionPenalty);
     g.net_shared = std::make_unique<sim::SharedResource>(sim_, tag + "-net", 1.0,
-                                                         config_.contention_penalty);
+                                                         kContentionPenalty);
   }
   active_groups_storage_.push_back(&g);
   obs::MetricsRegistry::instance().counter("sim.groups_created").add();
@@ -468,7 +475,30 @@ ClusterSim::GroupRun& ClusterSim::create_group(const std::vector<core::JobId>& m
     obs::Tracer::instant(obs::EventKind::kGroupCreate, obs::ClockDomain::kSim,
                          sim_.now() * kTraceUs, obs::kNoEntity,
                          static_cast<std::uint32_t>(g.id), obs::kNoEntity, machines);
-  for (core::JobId id : member_ids) place_job_in_group(jobs_[id], g, false);
+  return g;
+}
+
+ClusterSim::GroupRun* ClusterSim::form_group(const std::vector<core::JobId>& jobs,
+                                             std::size_t machines) {
+  const std::vector<core::JobId> no_members;
+  GroupRun* g = nullptr;
+  std::vector<SimJob*> refused;
+  for (core::JobId id : jobs) {
+    SimJob& job = jobs_[id];
+    if (job.state == core::JobState::kFinished || job.group != nullptr) continue;
+    if (!fits_without_spill(machines, g ? g->members : no_members, job)) {
+      refused.push_back(&job);  // no-spill runs: cannot share this group
+      continue;
+    }
+    if (g == nullptr) g = &create_group(machines);
+    place_job_in_group(job, *g, /*with_migration_delay=*/true);
+    group_dops_.add(static_cast<double>(machines));
+  }
+  if (g != nullptr) {
+    group_sizes_.add(static_cast<double>(g->members.size()));
+    record_group_prediction(*g);
+  }
+  for (SimJob* job : refused) place_fallback_isolated(*job);
   return g;
 }
 
@@ -488,7 +518,7 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
   ++group.active_members;
   if (job.state != core::JobState::kProfiling) job.state = core::JobState::kRunning;
   reindex_job(job);
-  refresh_alpha(job, /*initialize=*/true);
+  refresh_alpha(job);
   // Every co-tenant's memory share just shrank: recompute everyone's α for
   // the group's occupancy target.
   if (config_.spill_enabled && !config_.fixed_alpha) {
@@ -498,12 +528,12 @@ void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migr
       ctl.min_step = 0.01;
       ctl.min_alpha = 0.40;   // occupancy targets, not disk ratios
       ctl.max_alpha = 0.93;   // stay under the OOM line
-      group.occ_ctl.emplace(config_.alpha_floor_occupancy, ctl);
+      group.occ_ctl.emplace(kAlphaFloorOccupancy, ctl);
     }
     for (core::JobId id : group.members) {
       SimJob& member = jobs_[id];
       if (&member == &job) continue;
-      refresh_alpha(member, /*initialize=*/false);
+      refresh_alpha(member);
     }
   }
 
@@ -564,7 +594,7 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
     if (it != pending_regroup_->job_plan.end()) {
       GroupRun* target = pending_regroup_->targets[it->second];
       if (target != nullptr && !target->dissolved && !target->stopping &&
-          fits_without_spill(*target, job)) {
+          fits_without_spill(target->machines, target->members, job)) {
         settle_group_prediction(*target);
         place_job_in_group(job, *target, /*with_migration_delay=*/true);
         group_dops_.add(static_cast<double>(target->machines));
@@ -613,27 +643,23 @@ void ClusterSim::dissolve_group(GroupRun& group) {
 // groups_ scan (groups_ never shrinks — dissolved groups stay for late no-op
 // events). The indexes below maintain those answers incrementally, keyed off
 // the same predicates, so the per-event cost tracks the live population
-// instead of everything ever created. The id-sorted waiting list reproduces
-// the exact iteration order of a jobs_ scan (ids are pool indices); the
-// submit-ordered lists hold the pinned (submit_time, id) total order that
-// scheduling passes consume, so no pass sorts its input.
+// instead of everything ever created. The waiting and idle lists hold the
+// pinned (submit_time, id) total order that scheduling passes consume, so no
+// pass sorts its input.
 
 void ClusterSim::reindex_job(SimJob& job) {
   const core::JobId id = job.spec.id;
   const bool waiting = job.arrived && job.state == core::JobState::kWaiting;
   if (waiting != job.in_waiting_index) {
-    const auto it = std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), id);
-    // The submit-ordered twin: (submit_time, id) is a total order, so the
-    // lower_bound position is the unique insert/erase point.
-    const auto sit = std::lower_bound(
+    // (submit_time, id) is a total order, so the lower_bound position is the
+    // unique insert/erase point.
+    const auto it = std::lower_bound(
         waiting_by_submit_.begin(), waiting_by_submit_.end(), id,
         [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
     if (waiting) {
-      waiting_ids_.insert(it, id);
-      waiting_by_submit_.insert(sit, id);
+      waiting_by_submit_.insert(it, id);
     } else {
-      waiting_ids_.erase(it);
-      waiting_by_submit_.erase(sit);
+      waiting_by_submit_.erase(it);
     }
     job.in_waiting_index = waiting;
   }
@@ -743,8 +769,8 @@ std::vector<core::SchedJob> ClusterSim::idle_sched_jobs() const {
   return out;
 }
 
-std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
-  std::vector<core::RunningGroup> out;
+ClusterSim::RunningGroups ClusterSim::running_groups_view() const {
+  RunningGroups out;
   auto* self = const_cast<ClusterSim*>(this);
   for (GroupRun* g : self->active_groups()) {
     if (g->dissolved || g->stopping) continue;
@@ -754,9 +780,32 @@ std::vector<core::RunningGroup> ClusterSim::running_groups_view() const {
       if (jobs_[id].state == core::JobState::kRunning)
         rg.jobs.push_back(sched_view(jobs_[id]));
     }
-    if (!rg.jobs.empty()) out.push_back(std::move(rg));
+    if (rg.jobs.empty()) continue;
+    out.views.push_back(std::move(rg));
+    out.groups.push_back(g);
   }
   return out;
+}
+
+template <class Call>
+auto ClusterSim::timed_sched_call(Call&& call) {
+  const auto t0 = WallClock::now();
+  auto result = call();
+  sched_wall_seconds_ += wall_seconds_since(t0);
+  ++sched_invocations_;
+  if (obs::Tracer::enabled())
+    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
+                         sim_.now() * kTraceUs);
+  return result;
+}
+
+void ClusterSim::count_regroup(const SimJob* job, const GroupRun* group) {
+  ++summary_.regroup_events;
+  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
+  if (obs::Tracer::enabled())
+    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
+                         sim_.now() * kTraceUs, job ? job->spec.id : obs::kNoEntity,
+                         group ? static_cast<std::uint32_t>(group->id) : obs::kNoEntity);
 }
 
 std::vector<ClusterSim::GroupRun*> ClusterSim::live_groups() const {
@@ -792,7 +841,7 @@ void ClusterSim::on_job_arrival(SimJob& job) {
       auto groups = live_groups();
       GroupRun* target;
       if (groups.empty()) {
-        target = &create_group({}, free_machines_);
+        target = &create_group(free_machines_);
       } else {
         target = groups.front();
       }
@@ -822,7 +871,7 @@ void ClusterSim::maybe_start_profiling() {
   auto groups = live_groups();
   if (groups.empty()) return;
   for (SimJob* job : waiting) {
-    if (profiling_now >= config_.max_profiling_jobs) break;
+    if (profiling_now >= kMaxProfilingJobs) break;
     GroupRun* target = nullptr;
     for (GroupRun* g : groups) {
       bool has_profiling = false;
@@ -860,7 +909,7 @@ void ClusterSim::bootstrap_profiling() {
         std::min(waiting.size() - cursor, (waiting.size() + chunks - 1) / chunks);
     const std::size_t m = std::min(machines_per_chunk, free_machines_);
     if (m == 0) break;
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     for (std::size_t k = 0; k < take; ++k) {
       SimJob* job = waiting[cursor++];
       set_state(*job, core::JobState::kProfiling);
@@ -888,14 +937,7 @@ void ClusterSim::schedule_on_spare_machines() {
   const auto idle = idle_sched_jobs();
   if (idle.empty()) return;
   scheduling_spare_ = true;
-  const auto t0 = WallClock::now();
-  const core::ScheduleDecision decision = scheduler_.schedule(idle, spare);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
-  apply_decision(decision, {});
+  apply_decision(timed_sched_call([&] { return scheduler_.schedule(idle, spare); }));
   scheduling_spare_ = false;
 }
 
@@ -904,7 +946,7 @@ void ClusterSim::expand_groups_with_free_machines() {
   // machines shrink COMP (Eq. 2), shortening the remaining groups' cycles.
   if (config_.grouping != GroupingPolicy::kHarmony) return;
   if (pending_regroup_ || free_machines_ == 0) return;
-  if (!waiting_ids_.empty() || paused_count_ > 0 || profiled_ungrouped_count_ > 0)
+  if (!waiting_by_submit_.empty() || paused_count_ > 0 || profiled_ungrouped_count_ > 0)
     return;  // backlog exists: machines belong to new groups instead
 
   // A grant changes only the winner's marginal gain, so compute each group's
@@ -958,11 +1000,7 @@ void ClusterSim::begin_pending(core::ScheduleDecision decision,
   pr.decision = std::move(decision);
   pr.involved = involved;
   pending_regroup_.emplace(std::move(pr));
-  ++summary_.regroup_events;
-  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  count_regroup();
   for (GroupRun* g : involved) g->stopping = true;
   for (GroupRun* g : involved)
     if (!g->dissolved && g->active_members == 0) dissolve_group(*g);
@@ -994,30 +1032,10 @@ void ClusterSim::try_apply_pending() {
       continue;
     }
     if (plan.machines > free_machines_) continue;
-
-    GroupRun& g = create_group({}, plan.machines);
-    pr.targets[i] = &g;
+    // With no job placeable yet (all still draining, or none fits) the plan
+    // resolves without a group, and its draining jobs park as paused.
     pr.resolved[i] = true;
-    std::size_t placed = 0;
-    std::vector<SimJob*> refused;
-    for (core::JobId id : plan.jobs) {
-      SimJob& j = jobs_[id];
-      if (j.state == core::JobState::kFinished || j.group != nullptr) continue;
-      if (!fits_without_spill(g, j)) {
-        refused.push_back(&j);  // no-spill runs: cannot share this group
-        continue;
-      }
-      place_job_in_group(j, g, /*with_migration_delay=*/true);
-      group_dops_.add(static_cast<double>(plan.machines));
-      ++placed;
-    }
-    if (placed == 0) {
-      dissolve_group(g);
-    } else {
-      group_sizes_.add(static_cast<double>(placed));
-      record_group_prediction(g);
-    }
-    for (SimJob* j : refused) place_fallback_isolated(*j);
+    pr.targets[i] = form_group(plan.jobs, plan.machines);
   }
 
   // Complete once every plan is resolved and every drained group is gone.
@@ -1047,59 +1065,37 @@ void ClusterSim::on_job_profiled(SimJob& job) {
     // Wait until the whole initial batch has profiles, then run Algorithm 1
     // over everything. (Arrived jobs in kWaiting are exactly the waiting
     // index; kProfiling implies arrived.)
-    const bool all_profiled = waiting_ids_.empty() && profiling_count_ == 0;
+    const bool all_profiled = waiting_by_submit_.empty() && profiling_count_ == 0;
     if (all_profiled) run_initial_harmony_schedule();
     return;  // keeps iterating in its bootstrap group meanwhile
   }
 
   // Steady state (§IV-B4 arrival rule).
   const auto idle = idle_sched_jobs();
-  const auto groups_view = running_groups_view();
-  const auto t0 = WallClock::now();
-  const core::RegroupAction action =
-      regrouper_.on_job_arrival(sched_view(job), idle, groups_view);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  const RunningGroups running = running_groups_view();
+  const core::RegroupAction action = timed_sched_call(
+      [&] { return regrouper_.on_job_arrival(sched_view(job), idle, running.views); });
 
-  if (action.kind == core::RegroupAction::Kind::kAddToGroup) {
-    auto groups = live_groups();
-    // Map the view index back to a live group (views skip empty groups, so
-    // rebuild the same filtered list).
-    std::vector<GroupRun*> view_groups;
-    for (GroupRun* g : groups) {
-      bool has_running = false;
-      for (core::JobId id : g->members)
-        if (jobs_[id].state == core::JobState::kRunning) has_running = true;
-      if (has_running) view_groups.push_back(g);
-    }
-    if (action.group_index < view_groups.size()) {
-      GroupRun* target = view_groups[action.group_index];
-      if (job.group == target) {
-        set_state(job, core::JobState::kRunning);
-        settle_group_prediction(*target);
-        record_group_prediction(*target);
-        return;
-      }
-      if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
-      // park_job may already have routed the job into a pending regroup's
-      // target group; only place it ourselves if it is still idle.
-      if (job.group == nullptr && fits_without_spill(*target, job)) {
-        ++summary_.regroup_events;
-        obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-        if (obs::Tracer::enabled())
-          obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                               sim_.now() * kTraceUs, job.spec.id,
-                               static_cast<std::uint32_t>(target->id));
-        settle_group_prediction(*target);
-        place_job_in_group(job, *target, /*with_migration_delay=*/true);
-        record_group_prediction(*target);
-        maybe_validate();
-      }
+  if (action.kind == core::RegroupAction::Kind::kAddToGroup &&
+      action.group_index < running.groups.size()) {
+    GroupRun* target = running.groups[action.group_index];
+    if (job.group == target) {
+      set_state(job, core::JobState::kRunning);
+      settle_group_prediction(*target);
+      record_group_prediction(*target);
       return;
     }
+    if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
+    // park_job may already have routed the job into a pending regroup's
+    // target group; only place it ourselves if it is still idle.
+    if (job.group == nullptr && fits_without_spill(target->machines, target->members, job)) {
+      count_regroup(&job, target);
+      settle_group_prediction(*target);
+      place_job_in_group(job, *target, /*with_migration_delay=*/true);
+      record_group_prediction(*target);
+      maybe_validate();
+    }
+    return;
   }
   // Wait: leave the profiling group and pause.
   if (job.group != nullptr) park_job(job, core::JobState::kProfiled);
@@ -1121,58 +1117,22 @@ void ClusterSim::run_initial_harmony_schedule() {
   }
   if (pool.empty()) return;
 
-  const std::size_t total_machines = config_.machines;
-  const auto t0 = WallClock::now();
-  core::ScheduleDecision decision = scheduler_.schedule(pool, total_machines);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
-
+  core::ScheduleDecision decision =
+      timed_sched_call([&] { return scheduler_.schedule(pool, config_.machines); });
   // Tear down every bootstrap group; decision groups form as drains finish.
   begin_pending(std::move(decision), live_groups());
 }
 
-void ClusterSim::apply_decision(const core::ScheduleDecision& decision,
-                                const std::vector<std::size_t>& /*replaced*/) {
+void ClusterSim::apply_decision(const core::ScheduleDecision& decision) {
   // Additive application: only idle (group-less) jobs are placed; a job that
-  // something else claimed in the meantime is skipped.
-  ++summary_.regroup_events;
-  obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  // something else claimed in the meantime is skipped. Plans get what is
+  // left of the free machines, in order.
+  count_regroup();
   for (const core::GroupPlan& plan : decision.groups) {
     if (plan.jobs.empty() || plan.machines == 0) continue;
     const std::size_t m = std::min(plan.machines, free_machines_);
     if (m == 0) break;
-    std::vector<SimJob*> placeable;
-    for (core::JobId id : plan.jobs) {
-      SimJob& job = jobs_[id];
-      if (job.state == core::JobState::kFinished || job.group != nullptr) continue;
-      placeable.push_back(&job);
-    }
-    if (placeable.empty()) continue;
-    GroupRun& g = create_group({}, m);
-    std::size_t placed = 0;
-    std::vector<SimJob*> refused;
-    for (SimJob* job : placeable) {
-      if (!fits_without_spill(g, *job)) {
-        refused.push_back(job);
-        continue;
-      }
-      place_job_in_group(*job, g, /*with_migration_delay=*/true);
-      group_dops_.add(static_cast<double>(m));
-      ++placed;
-    }
-    if (placed == 0) {
-      dissolve_group(g);
-    } else {
-      group_sizes_.add(static_cast<double>(placed));
-      record_group_prediction(g);
-    }
-    for (SimJob* job : refused) place_fallback_isolated(*job);
+    form_group(plan.jobs, m);
   }
   maybe_start_profiling();
   maybe_validate();
@@ -1209,8 +1169,8 @@ void ClusterSim::on_job_finished(SimJob& job) {
   }
 
   // Locate the group the job left (it may just have been dissolved).
-  const auto groups_view = running_groups_view();
-  if (groups_view.empty()) {
+  const RunningGroups running = running_groups_view();
+  if (running.views.empty()) {
     // Nothing running: restart from the idle pool if anything is left.
     schedule_on_spare_machines();
     maybe_start_profiling();
@@ -1218,46 +1178,30 @@ void ClusterSim::on_job_finished(SimJob& job) {
   }
 
   // Map the finished job's former group into the view index space.
-  std::vector<GroupRun*> view_groups;
-  for (GroupRun* g : live_groups()) {
-    bool has_running = false;
-    for (core::JobId id : g->members)
-      if (jobs_[id].state == core::JobState::kRunning) has_running = true;
-    if (has_running) view_groups.push_back(g);
-  }
   std::size_t group_index = 0;
-  for (std::size_t i = 0; i < view_groups.size(); ++i)
-    if (view_groups[i] == job.last_group) group_index = i;
+  for (std::size_t i = 0; i < running.groups.size(); ++i)
+    if (running.groups[i] == job.last_group) group_index = i;
 
   const auto idle = idle_sched_jobs();
-  const auto t0 = WallClock::now();
-  const core::RegroupAction action = regrouper_.on_job_finish(
-      sched_view(job), group_index, idle, groups_view, free_machines_);
-  sched_wall_seconds_ += wall_seconds_since(t0);
-  ++sched_invocations_;
-  if (obs::Tracer::enabled())
-    obs::Tracer::instant(obs::EventKind::kSchedule, obs::ClockDomain::kSim,
-                         sim_.now() * kTraceUs);
+  const core::RegroupAction action = timed_sched_call([&] {
+    return regrouper_.on_job_finish(sched_view(job), group_index, idle, running.views,
+                                    free_machines_);
+  });
 
   switch (action.kind) {
     case core::RegroupAction::Kind::kNone:
       break;
     case core::RegroupAction::Kind::kReplace: {
-      if (action.group_index < view_groups.size()) {
-        GroupRun* target = view_groups[action.group_index];
+      if (action.group_index < running.groups.size()) {
+        GroupRun* target = running.groups[action.group_index];
         settle_group_prediction(*target);
         for (const core::SchedJob& r : action.replacements) {
           SimJob& repl = jobs_[r.id];
           if (repl.group != nullptr || repl.state == core::JobState::kFinished) continue;
-          if (!fits_without_spill(*target, repl)) continue;
+          if (!fits_without_spill(target->machines, target->members, repl)) continue;
           place_job_in_group(repl, *target, /*with_migration_delay=*/true);
         }
-        ++summary_.regroup_events;
-        obs::MetricsRegistry::instance().counter("sim.regroup_events").add();
-        if (obs::Tracer::enabled())
-          obs::Tracer::instant(obs::EventKind::kRegroup, obs::ClockDomain::kSim,
-                               sim_.now() * kTraceUs, job.spec.id,
-                               static_cast<std::uint32_t>(target->id));
+        count_regroup(&job, target);
         record_group_prediction(*target);
         maybe_validate();
       }
@@ -1269,7 +1213,7 @@ void ClusterSim::on_job_finished(SimJob& job) {
       if (sim_.now() - last_reschedule_time_ < config_.reschedule_cooldown_sec) break;
       std::vector<GroupRun*> involved;
       for (std::size_t idx : action.groups_involved)
-        if (idx < view_groups.size()) involved.push_back(view_groups[idx]);
+        if (idx < running.groups.size()) involved.push_back(running.groups[idx]);
       if (involved.empty()) break;
       last_reschedule_time_ = sim_.now();
       begin_pending(action.decision, std::move(involved));
@@ -1298,7 +1242,7 @@ void ClusterSim::try_schedule_isolated() {
     m = std::max(m, next->spec.min_machines_without_spill(config_.machine_spec));
     m = std::min(m, config_.machines);
     if (m > free_machines_) return;  // FIFO head-of-line blocking
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     place_job_in_group(*next, g, /*with_migration_delay=*/false);
     group_dops_.add(static_cast<double>(m));
     group_sizes_.add(1.0);
@@ -1316,7 +1260,7 @@ void ClusterSim::try_schedule_naive() {
     shuffle_rng.shuffle(waiting);
   }
 
-  const std::size_t k = std::max<std::size_t>(1, config_.naive_jobs_per_group);
+  const std::size_t k = kNaiveJobsPerGroup;
   std::size_t cursor = 0;
   bool scheduled_nothing_yet = live_groups().empty();
   while (cursor < waiting.size()) {
@@ -1347,7 +1291,7 @@ void ClusterSim::try_schedule_naive() {
       if (m == 0) return;
     }
     scheduled_nothing_yet = false;
-    GroupRun& g = create_group({}, m);
+    GroupRun& g = create_group(m);
     for (std::size_t i = 0; i < take; ++i)
       place_job_in_group(*waiting[cursor + i], g, /*with_migration_delay=*/false);
     group_dops_.add(static_cast<double>(m));
@@ -1406,7 +1350,7 @@ void ClusterSim::settle_group_prediction(GroupRun& group) {
 }
 
 void ClusterSim::sample_utilization() {
-  const double window = config_.util_sample_window_sec;
+  const double window = kUtilSampleWindowSec;
   double cpu_weighted = 0.0;
   double net_weighted = 0.0;
   std::size_t running_jobs = 0;
@@ -1449,8 +1393,9 @@ void ClusterSim::sample_utilization() {
                  groups_desc.c_str());
   }
   if (running_jobs > 0) {
-    concurrent_jobs_samples_.add(static_cast<double>(running_jobs));
-    concurrent_groups_samples_.add(static_cast<double>(running_groups));
+    concurrent_jobs_sum_ += static_cast<double>(running_jobs);
+    concurrent_groups_sum_ += static_cast<double>(running_groups);
+    ++concurrency_samples_;
   }
   // Sampled once per window rather than per event so the hot loop stays clean.
   static obs::HistogramMetric& queue_depth =
@@ -1499,7 +1444,7 @@ RunSummary ClusterSim::run() {
   next_arrival_ = 0;
   arrival_seq_base_ = sim_.reserve_seqs(jobs_.size());
   schedule_next_arrival();
-  sim_.schedule_in(config_.util_sample_window_sec, [this] { sample_utilization(); });
+  sim_.schedule_in(kUtilSampleWindowSec, [this] { sample_utilization(); });
   sim_.run(200'000'000ULL);
 
   if (unfinished_count_ > 0) {
@@ -1536,8 +1481,16 @@ RunSummary ClusterSim::run() {
   return summary_;
 }
 
-double ClusterSim::avg_concurrent_jobs() const { return concurrent_jobs_samples_.mean(); }
-double ClusterSim::avg_concurrent_groups() const { return concurrent_groups_samples_.mean(); }
+double ClusterSim::avg_concurrent_jobs() const {
+  return concurrency_samples_ == 0
+             ? 0.0
+             : concurrent_jobs_sum_ / static_cast<double>(concurrency_samples_);
+}
+double ClusterSim::avg_concurrent_groups() const {
+  return concurrency_samples_ == 0
+             ? 0.0
+             : concurrent_groups_sum_ / static_cast<double>(concurrency_samples_);
+}
 
 AlphaStats ClusterSim::alpha_stats() const {
   AlphaStats st;

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "baselines/isolated.h"
-#include "baselines/naive.h"
 #include "check/check.h"
 #include "cluster/machine.h"
 #include "cluster/memory_model.h"
@@ -62,11 +61,7 @@ struct ClusterSimConfig {
   bool spill_enabled = true;
 
   std::uint64_t seed = 1;
-  double subtask_noise_cv = 0.03;
-  // Interference penalty for contended execution (per extra concurrent task).
-  double contention_penalty = 0.08;
 
-  std::size_t naive_jobs_per_group = 3;
   std::uint64_t naive_grouping_seed = 0;
   // Occupancy the naive packer squeezes groups to (Gandiva packs close to the
   // OOM line; a conservative operator would stay at the GC knee, 0.65).
@@ -80,11 +75,6 @@ struct ClusterSimConfig {
   // §V-G baseline: pin every job's disk ratio instead of hill climbing.
   std::optional<double> fixed_alpha;
 
-  // Occupancy the α floor targets. Above the GC knee (0.7) but safely below
-  // the OOM line: mild GC is routinely cheaper than extra reloading, and the
-  // hill climb explores around this floor.
-  double alpha_floor_occupancy = 0.85;
-
   // Prints a one-line cluster snapshot at every utilization sample (stderr).
   bool debug_trace = false;
 
@@ -94,21 +84,14 @@ struct ClusterSimConfig {
   // results are bit-identical with it on or off.
   bool validate = false;
 
-  // Profiling iterations before a job is schedulable.
-  std::size_t profiling_iterations = 3;
   // Minimum simulated time between successive kReschedule regroups; cheap
   // kReplace repairs are always allowed (churn damping).
   double reschedule_cooldown_sec = 900.0;
-  // Concurrent jobs being profiled in steady state.
-  std::size_t max_profiling_jobs = 4;
-
-  double util_sample_window_sec = 60.0;
   // α re-optimization cadence (iterations between hill-climb observations).
   std::size_t alpha_update_every = 2;
 
   core::Scheduler::Params scheduler;
   core::Regrouper::Params regrouper;
-  core::SpillCostModel::Params spill_costs;
 
   // Convenience presets matching the paper's three systems.
   static ClusterSimConfig isolated();
@@ -191,7 +174,7 @@ class ClusterSim {
     kLeakedNoiseEngine,     // a finished job still owns its noise engine
     kLeakedGroupLanes,      // a dissolved group still owns a lane
     kMissingGroupLane,      // a live group's idle CPU lane is gone
-    // A waiting job drops out of the waiting indexes, so no scheduling pass
+    // A waiting job drops out of the waiting index, so no scheduling pass
     // ever sees it again: with validation off, run() strands it and throws.
     kStrandedWaitingJob,
   };
@@ -224,11 +207,12 @@ class ClusterSim {
   double job_resident_bytes_uncached(const SimJob& job, std::size_t machines) const;
   void set_alpha(core::JobId id, double alpha);
   void set_model_spilled(core::JobId id, bool spilled);
-  void refresh_alpha(SimJob& job, bool initialize);
+  void refresh_alpha(SimJob& job);
   // When spilling is disabled, Harmony placements refuse co-locations that
   // would overflow memory outright (the operator's feasibility check the
   // spill mechanism replaces).
-  bool fits_without_spill(const GroupRun& group, const SimJob& job) const;
+  bool fits_without_spill(std::size_t machines, const std::vector<core::JobId>& members,
+                          const SimJob& job) const;
   // No-spill fallback: a job refused from every co-location gets a dedicated
   // group at its memory-minimum DoP, if machines allow.
   void place_fallback_isolated(SimJob& job);
@@ -252,7 +236,19 @@ class ClusterSim {
   core::SchedJob sched_view(const SimJob& job) const;
   core::SchedJob sched_view_uncached(const SimJob& job) const;
   std::vector<core::SchedJob> idle_sched_jobs() const;
-  std::vector<core::RunningGroup> running_groups_view() const;
+  // The regrouper's view of the live groups that have a running member, and
+  // the group each view was taken from (same index).
+  struct RunningGroups {
+    std::vector<core::RunningGroup> views;
+    std::vector<GroupRun*> groups;
+  };
+  RunningGroups running_groups_view() const;
+  // Runs one Algorithm 1 or regrouper call, charging its wall time to the
+  // scheduler accounting and marking it on the trace.
+  template <class Call>
+  auto timed_sched_call(Call&& call);
+  // Counts one regroup event in the summary, the metrics and the trace.
+  void count_regroup(const SimJob* job = nullptr, const GroupRun* group = nullptr);
 
   // Central state-transition point: assigns job.state and refreshes the
   // job-state indexes (waiting/idle lists, per-state counters) that replace
@@ -279,13 +275,18 @@ class ClusterSim {
   // to their own drain logic).
   void dissolve_emptied_groups(bool skip_stopping);
 
-  GroupRun& create_group(const std::vector<core::JobId>& jobs, std::size_t machines);
+  GroupRun& create_group(std::size_t machines);
+  // The one way a scheduling decision becomes a group: places every
+  // group-less, unfinished job of `jobs` that fits (with a migration delay)
+  // in a new group of `machines` machines, created only once a job fits, and
+  // sends each refused job to place_fallback_isolated. Returns the group, or
+  // nullptr when no job was placed.
+  GroupRun* form_group(const std::vector<core::JobId>& jobs, std::size_t machines);
   void dissolve_group(GroupRun& group);
   void place_job_in_group(SimJob& job, GroupRun& group, bool with_migration_delay);
   void park_job(SimJob& job, core::JobState state);
   double migration_delay(const SimJob& job, std::size_t machines) const;
-  void apply_decision(const core::ScheduleDecision& decision,
-                      const std::vector<std::size_t>& replaced_groups);
+  void apply_decision(const core::ScheduleDecision& decision);
   void maybe_start_profiling();
   // Work conservation: if unallocated machines and idle jobs exist, runs
   // Algorithm 1 over the idle pool for just those machines.
@@ -311,7 +312,6 @@ class ClusterSim {
   core::Scheduler scheduler_;
   core::Regrouper regrouper_;
   baselines::IsolatedScheduler isolated_;
-  baselines::NaiveScheduler naive_;
   core::Profiler profiler_;
   Rng rng_;
 
@@ -349,13 +349,10 @@ class ClusterSim {
   // sched_view memo, dense by JobId; an entry whose id is kNoJob is empty.
   mutable std::vector<core::SchedJob> job_view_cache_;
 
-  // Job-state indexes, maintained by reindex_job(). The id-sorted list
-  // reproduces the iteration order of a jobs_ scan (ids are pool indices), so
-  // downstream sorts see the identical input sequence.
-  std::vector<core::JobId> waiting_ids_;  // arrived && kWaiting
-  // Same membership as waiting_ids_, kept sorted by (submit_time, id) — the
-  // pinned scheduling order — via ordered insert/erase in reindex_job. This
-  // replaces the per-scheduling-pass sort that dominated large-cluster runs.
+  // Job-state indexes, maintained by reindex_job(). Waiting jobs (arrived &&
+  // kWaiting) are kept sorted by (submit_time, id) — the pinned scheduling
+  // order — via ordered insert/erase. This replaces the per-scheduling-pass
+  // sort that dominated large-cluster runs.
   std::vector<core::JobId> waiting_by_submit_;
   // kProfiled || kPaused, kept in the same (submit_time, id) order.
   std::vector<core::JobId> idle_ids_;
@@ -374,8 +371,11 @@ class ClusterSim {
   PredictionErrors prediction_errors_;
   SampleSet group_dops_;
   SampleSet group_sizes_;
-  SampleSet concurrent_jobs_samples_;
-  SampleSet concurrent_groups_samples_;
+  // Concurrency samples are read only as means, so only their running sums
+  // (added in sample order) and their count are kept.
+  double concurrent_jobs_sum_ = 0.0;
+  double concurrent_groups_sum_ = 0.0;
+  std::size_t concurrency_samples_ = 0;
   SampleSet alpha_samples_;
   SampleSet iteration_walls_;
   RunSummary summary_;

@@ -15,6 +15,11 @@
 
 namespace harmony::exp {
 
+// Occupancy the α floor targets. Above the GC knee (0.7) but safely below the
+// OOM line: mild GC is routinely cheaper than extra reloading, and the hill
+// climb explores around this floor.
+inline constexpr double kAlphaFloorOccupancy = 0.85;
+
 // Cold per-job record. The hot scalars the memory model reads on every
 // iteration (spill ratio, model-spill flag, submit time, resident-bytes
 // cache) live in ClusterSim's dense struct-of-arrays indexed by JobId — see

@@ -146,7 +146,7 @@ check::ValidationReport ClusterSim::validate_state() const {
     for (const GroupRun& g : groups_) {
       if (g.dissolved || g.members.empty()) continue;
       const double target =
-          g.occ_ctl ? g.occ_ctl->alpha() : config_.alpha_floor_occupancy;
+          g.occ_ctl ? g.occ_ctl->alpha() : kAlphaFloorOccupancy;
       const double bound_occ = std::max(target, config_.memory_params.gc_threshold);
       const double share = config_.machine_spec.memory_bytes /
                            static_cast<double>(g.members.size());
@@ -201,7 +201,7 @@ check::ValidationReport ClusterSim::validate_state() const {
   std::size_t want_paused = 0;
   std::size_t want_profiled_ungrouped = 0;
   std::size_t finished = 0;
-  for (const SimJob& j : jobs_) {  // ids are pool indices, so this is id-sorted
+  for (const SimJob& j : jobs_) {
     if (j.arrived && j.state == core::JobState::kWaiting)
       want_waiting.push_back(j.spec.id);
     if (j.state == core::JobState::kProfiled || j.state == core::JobState::kPaused)
@@ -212,24 +212,16 @@ check::ValidationReport ClusterSim::validate_state() const {
         j.state == core::JobState::kProfiled && j.group == nullptr;
     finished += j.state == core::JobState::kFinished;
   }
-  HARMONY_VALIDATE(v, waiting_ids_ == want_waiting)
-      << "waiting index (" << waiting_ids_.size()
-      << " ids) diverges from a from-scratch rebuild (" << want_waiting.size()
-      << " ids): bad index entry";
-  {
-    // The submit-ordered twin must be the same membership, sorted by the
-    // pinned (submit_time, id) total order.
-    std::vector<core::JobId> want_by_submit = want_waiting;
-    std::sort(want_by_submit.begin(), want_by_submit.end(),
-              [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
-    HARMONY_VALIDATE(v, waiting_by_submit_ == want_by_submit)
-        << "submit-ordered waiting index (" << waiting_by_submit_.size()
-        << " ids) diverges from the waiting set re-sorted by (submit, id): "
-        << "bad index entry or broken tie-break order";
-  }
-  // The idle index is kept in the same pinned (submit_time, id) order.
-  std::sort(want_idle.begin(), want_idle.end(),
-            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+  // Both indexes are kept in the pinned (submit_time, id) order.
+  const auto by_submit = [this](core::JobId a, core::JobId b) {
+    return submit_order_less(a, b);
+  };
+  std::sort(want_waiting.begin(), want_waiting.end(), by_submit);
+  HARMONY_VALIDATE(v, waiting_by_submit_ == want_waiting)
+      << "waiting index (" << waiting_by_submit_.size()
+      << " ids) diverges from the waiting set rebuilt and sorted by (submit, id) ("
+      << want_waiting.size() << " ids): bad index entry or broken tie-break order";
+  std::sort(want_idle.begin(), want_idle.end(), by_submit);
   HARMONY_VALIDATE(v, idle_ids_ == want_idle)
       << "idle index (" << idle_ids_.size()
       << " ids) diverges from the idle set rebuilt and sorted by (submit, id) ("
@@ -317,9 +309,10 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       // Insert a job that is not waiting into the waiting index.
       for (const SimJob& j : jobs_) {
         if (j.in_waiting_index) continue;
-        const auto it =
-            std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), j.spec.id);
-        waiting_ids_.insert(it, j.spec.id);
+        const auto it = std::lower_bound(
+            waiting_by_submit_.begin(), waiting_by_submit_.end(), j.spec.id,
+            [this](core::JobId a, core::JobId b) { return submit_order_less(a, b); });
+        waiting_by_submit_.insert(it, j.spec.id);
         return;
       }
       break;
@@ -392,12 +385,11 @@ void ClusterSim::corrupt_for_test(Corruption kind) {
       break;
     }
     case Corruption::kStrandedWaitingJob: {
-      // Out of both waiting indexes, with the membership flag cleared so the
-      // job's index bits agree with the vectors: nothing re-adds it.
-      if (waiting_ids_.empty()) break;
+      // Out of the waiting index, with the membership flag cleared so the
+      // job's index bit agrees with the vector: nothing re-adds it.
+      if (waiting_by_submit_.empty()) break;
       const core::JobId id = waiting_by_submit_.front();
       waiting_by_submit_.erase(waiting_by_submit_.begin());
-      waiting_ids_.erase(std::lower_bound(waiting_ids_.begin(), waiting_ids_.end(), id));
       jobs_[id].in_waiting_index = false;
       return;
     }

@@ -173,6 +173,21 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("admission=sjf", proc.stdout)
 
+    def test_baseline_presets_keep_the_error_flag(self):
+        # A baseline preset fixes execution, grouping and spill; --error must
+        # still reach the run (it draws each job's profile error up front,
+        # which shifts the noise streams, so the summary changes).
+        def summary(*args):
+            proc = run("--jobs", "20", "--machines", "40", *args)
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            return [line for line in proc.stdout.splitlines()
+                    if not line.startswith("scheduler calls")]
+        for policy in ("naive", "isolated"):
+            exact = summary("--policy", policy, "--error", "0")
+            skewed = summary("--policy", policy, "--error", "0.2")
+            self.assertNotEqual(exact, skewed,
+                                f"--policy {policy} ignored --error 0.2")
+
 
 if __name__ == "__main__":
     if len(sys.argv) < 2:

@@ -261,7 +261,10 @@ INSTANTIATE_TEST_SUITE_P(Policies, PolicySweep, ::testing::Values(0, 1, 2));
 // Event-order pins. Each case's run hash and event count were recorded
 // from the simulator that queued every arrival up front; run() now keeps one
 // arrival pending at a time under its reserved sequence number, and these
-// cases cover the orderings that change could disturb.
+// cases cover the orderings that change could disturb. HarmonyNoSpill and
+// HarmonyReschedule were recorded from the driver that still formed groups
+// in two hand-copied loops; they pin the paths ClusterSim::form_group took
+// over.
 
 // Hashes the summary plus the sampler's concurrency averages, which see
 // whether a same-instant arrival fired before or after a sampler tick.
@@ -322,6 +325,12 @@ std::vector<double> on_sampler_ticks(std::size_t n) {
   return a;
 }
 
+ClusterSimConfig harmony_no_spill() {
+  ClusterSimConfig c = ClusterSimConfig::harmony();
+  c.spill_enabled = false;
+  return c;
+}
+
 class ClusterSimOrder : public ::testing::TestWithParam<OrderCase> {};
 
 TEST_P(ClusterSimOrder, MatchesRecordedRun) {
@@ -356,7 +365,17 @@ INSTANTIATE_TEST_SUITE_P(
                   on_sampler_ticks, false, 3395036670171637789ULL, 559},
         // Same schedule as HarmonyOutOfIdOrder plus the one corruption event.
         OrderCase{"HarmonyCorruptionAtArrival", ClusterSimConfig::harmony(), 16,
-                  out_of_id_order, true, 4948137746182741041ULL, 687}));
+                  out_of_id_order, true, 4948137746182741041ULL, 687},
+        // No spill on 6 machines: co-locations overflow memory, so both the
+        // pending-regroup and the spare-machine paths refuse jobs, place
+        // them alone through place_fallback_isolated, and form no group for
+        // a plan none of whose jobs fit.
+        OrderCase{"HarmonyNoSpill", harmony_no_spill(), 6, all_at_zero, false,
+                  12517040383366828946ULL, 4139},
+        // Six kReschedule regroups on job completions; two of their plans
+        // wait only on draining jobs and resolve without forming a group.
+        OrderCase{"HarmonyReschedule", ClusterSimConfig::harmony(), 24, out_of_id_order,
+                  false, 12063686944306623173ULL, 685}));
 
 }  // namespace
 }  // namespace harmony::exp

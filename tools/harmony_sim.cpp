@@ -364,29 +364,18 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (policy == "isolated") {
-    const auto seed = config.seed;
-    const auto machines = config.machines;
-    const auto err = config.model_error_injection;
-    const auto trace = config.debug_trace;
-    const auto validate = config.validate;
-    config = exp::ClusterSimConfig::isolated();
-    config.seed = seed;
-    config.machines = machines;
-    config.model_error_injection = err;
-    config.debug_trace = trace;
-    config.validate = validate;
-  } else if (policy == "naive") {
-    const auto seed = config.seed;
-    const auto machines = config.machines;
-    const auto gseed = config.naive_grouping_seed;
-    const auto trace = config.debug_trace;
-    const auto validate = config.validate;
-    config = exp::ClusterSimConfig::naive(gseed == 0 ? 1 : gseed);
-    config.seed = seed;
-    config.machines = machines;
-    config.debug_trace = trace;
-    config.validate = validate;
+  if (policy == "isolated" || policy == "naive") {
+    // A baseline preset owns how jobs execute, group and spill (and the naive
+    // shuffle seed); every other flag still applies.
+    const exp::ClusterSimConfig preset =
+        policy == "isolated"
+            ? exp::ClusterSimConfig::isolated()
+            : exp::ClusterSimConfig::naive(
+                  config.naive_grouping_seed == 0 ? 1 : config.naive_grouping_seed);
+    config.exec = preset.exec;
+    config.grouping = preset.grouping;
+    config.spill_enabled = preset.spill_enabled;
+    config.naive_grouping_seed = preset.naive_grouping_seed;
   } else if (policy != "harmony") {
     usage_error(argv[0], "unknown policy '" + policy + "'");
   }
