@@ -6,7 +6,6 @@
 
 #include <memory>
 
-#include "bench_util.h"
 #include "harmony/executor.h"
 #include "ml/mlr.h"
 #include "ps/allreduce.h"
@@ -123,4 +122,4 @@ BENCHMARK(BM_ExecutorDispatch);
 BENCHMARK(BM_PsIteration)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AllReduceIteration)->Unit(benchmark::kMicrosecond);
 
-HARMONY_BENCHMARK_JSON_MAIN("BENCH_ps_microbench.json");
+BENCHMARK_MAIN();

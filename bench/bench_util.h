@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -46,37 +44,6 @@ inline double speedup(double baseline, double value) {
   return value > 0.0 ? baseline / value : 0.0;
 }
 
-// Splices the current metrics-registry snapshot into an existing JSON report
-// (e.g. a google-benchmark --benchmark_out file) as a top-level
-// "harmony_metrics" member, so BENCH_*.json reports carry the run's counters
-// and gauges alongside the timing data. Returns false (file untouched) if
-// the file is missing or its content is not a JSON object: the document must
-// start with '{' and end with '}' up to whitespace, so the brace we splice
-// before is the root object's closing brace, not a '}' inside trailing junk.
-inline bool attach_metrics_snapshot(const std::string& json_path) {
-  std::ifstream in(json_path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string text = buf.str();
-  constexpr const char* kWs = " \t\r\n";
-  const std::size_t first = text.find_first_not_of(kWs);
-  const std::size_t close = text.find_last_not_of(kWs);
-  if (first == std::string::npos || text[first] != '{' || text[close] != '}' ||
-      close == first)
-    return false;
-  const std::string snapshot = obs::MetricsRegistry::instance().snapshot_json();
-  // An empty root object ({}) takes no leading comma.
-  const std::size_t prev = text.find_last_not_of(kWs, close - 1);
-  const bool root_is_empty = prev == first;
-  text.insert(close, (root_is_empty ? std::string("\n") : std::string(",\n")) +
-                         "\"harmony_metrics\": " + snapshot + "\n");
-  std::ofstream out(json_path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << text;
-  return static_cast<bool>(out);
-}
-
 // Attaches a full trace-analysis run report to a figure driver's output:
 // feeds the tracer's current buffer through the analysis engine, reconciled
 // against `summary`, and writes <dir>/report.md + <dir>/report.json with the
@@ -97,49 +64,3 @@ inline bool write_run_report(const exp::RunSummary& summary, const std::string& 
 }
 
 }  // namespace harmony::bench
-
-// ---------------------------------------------------------------------------
-// JSON emission for google-benchmark drivers. Only compiled when the
-// translation unit already includes <benchmark/benchmark.h>; the plain
-// figure/table drivers don't link google-benchmark and never see this block.
-#ifdef BENCHMARK_BENCHMARK_H_
-
-namespace harmony::bench {
-
-// Runs the registered benchmarks and writes the machine-readable JSON report
-// to `default_json_out` (tracked across PRs) unless the caller already passed
-// an explicit --benchmark_out=... on the command line.
-inline int run_benchmarks_emitting_json(int argc, char** argv,
-                                        const std::string& default_json_out) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) has_out = true;
-  std::string out_flag = "--benchmark_out=" + default_json_out;
-  std::string fmt_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(fmt_flag.data());
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  // Attach the run's metrics snapshot to the report we own (an explicit
-  // --benchmark_out stays untouched: the caller may post-process it).
-  if (!has_out) attach_metrics_snapshot(default_json_out);
-  return 0;
-}
-
-}  // namespace harmony::bench
-
-// Drop-in replacement for BENCHMARK_MAIN() that also emits `json_file`.
-#define HARMONY_BENCHMARK_JSON_MAIN(json_file)                            \
-  int main(int argc, char** argv) {                                       \
-    return ::harmony::bench::run_benchmarks_emitting_json(argc, argv,     \
-                                                          json_file);     \
-  }                                                                       \
-  int main(int, char**)
-
-#endif  // BENCHMARK_BENCHMARK_H_

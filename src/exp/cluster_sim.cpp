@@ -1,11 +1,9 @@
 #include "exp/cluster_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cmath>
-#include <execinfo.h>
-
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -286,11 +284,9 @@ double ClusterSim::comp_duration(SimJob& job) {
 
 void ClusterSim::start_iteration(SimJob& job) {
   GroupRun& g = *job.group;
-  if (job.in_flight) {
-    std::fprintf(stderr, "start_iteration: job %u already in flight (state=%s)\n",
-                 job.spec.id, core::to_string(job.state));
-    std::abort();
-  }
+  HARMONY_CHECK(!job.in_flight) << check::job(job.spec.id) << check::group(g.id)
+                                << "start_iteration: already in flight (state="
+                                << core::to_string(job.state) << ")";
   job.in_flight = true;
   job.iter_start_time = sim_.now();
   const double d_pull = comm_half_duration(job);
@@ -336,12 +332,10 @@ void ClusterSim::begin_comp(SimJob& job, double pull_duration) {
 }
 
 void ClusterSim::begin_push(SimJob& job, double pull_duration, double comp_dur) {
-  if (job.group == nullptr) {
-    std::fprintf(stderr, "begin_push: job %u state=%s iters=%zu/%zu in_group=%zu\n",
-                 job.spec.id, core::to_string(job.state), job.iterations_done,
-                 job.spec.iterations, job.iters_in_group);
-    std::abort();
-  }
+  HARMONY_CHECK(job.group != nullptr)
+      << check::job(job.spec.id) << "begin_push: no group (state="
+      << core::to_string(job.state) << " iters=" << job.iterations_done << "/"
+      << job.spec.iterations << " in_group=" << job.iters_in_group << ")";
   GroupRun& g = *job.group;
   // The COMP subtask's service on the group's CPU lane just ended.
   if (obs::Tracer::enabled())
@@ -503,15 +497,10 @@ ClusterSim::GroupRun* ClusterSim::form_group(const std::vector<core::JobId>& job
 }
 
 void ClusterSim::place_job_in_group(SimJob& job, GroupRun& group, bool with_migration_delay) {
-  if (job.group != nullptr) {
-    std::fprintf(stderr, "place: job %u state=%s group=%zu->%zu in_flight=%d\n", job.spec.id,
-                 core::to_string(job.state), static_cast<std::size_t>(job.group->id),
-                 static_cast<std::size_t>(group.id), job.in_flight ? 1 : 0);
-    void* frames[16];
-    const int n = backtrace(frames, 16);
-    backtrace_symbols_fd(frames, n, 2);
-    std::abort();
-  }
+  HARMONY_CHECK(job.group == nullptr)
+      << check::job(job.spec.id) << check::group(group.id) << "place: already in group "
+      << job.group->id << " (state=" << core::to_string(job.state)
+      << " in_flight=" << job.in_flight << ")";
   job.group = &group;
   job.iters_in_group = 0;
   group.members.push_back(job.spec.id);
@@ -563,13 +552,11 @@ double ClusterSim::migration_delay(const SimJob& job, std::size_t machines) cons
 
 void ClusterSim::park_job(SimJob& job, core::JobState state) {
   GroupRun* g = job.group;
-  assert(g != nullptr);
-  if (job.in_flight) {
-    std::fprintf(stderr, "park_job: job %u in flight (state=%s -> %s, iters=%zu)\n",
-                 job.spec.id, core::to_string(job.state), core::to_string(state),
-                 job.iterations_done);
-    std::abort();
-  }
+  HARMONY_CHECK(g != nullptr) << check::job(job.spec.id) << "park_job: no group";
+  HARMONY_CHECK(!job.in_flight) << check::job(job.spec.id) << check::group(g->id)
+                                << "park_job: in flight (state=" << core::to_string(job.state)
+                                << " -> " << core::to_string(state)
+                                << ", iters=" << job.iterations_done << ")";
   auto it = std::find(g->members.begin(), g->members.end(), job.spec.id);
   if (it != g->members.end()) g->members.erase(it);
   --g->active_members;
@@ -580,7 +567,10 @@ void ClusterSim::park_job(SimJob& job, core::JobState state) {
   set_model_spilled(job.spec.id, false);
   reindex_job(job);
 
-  if (g->stopping && g->active_members == 0) {
+  // A group left with no members dissolves even when it is not stopping: a
+  // lone job that finished before its last profiling visitor parked would
+  // otherwise leave an empty live group holding every machine.
+  if (g->active_members == 0 && (g->stopping || g->members.empty())) {
     dissolve_group(*g);  // dissolve advances any pending regroup itself
   }
 

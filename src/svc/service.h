@@ -10,7 +10,8 @@
 // aggregated: a placed job departs after iterations x the modelled group
 // iteration time at placement (the perf-model view of its co-schedule), so
 // one job costs O(1) simulator events and the service sustains >100k
-// scheduling events/sec on a 10k-machine cluster (bench_svc_throughput).
+// scheduling events/sec on a 10k-machine cluster (`harmony-sim --service`
+// prints the rate on stderr).
 //
 // Determinism contract: everything driven by simulated time — arrival
 // sequence, placement decisions, per-job JCTs, queue/rejection accounting,

@@ -58,7 +58,7 @@ inline std::uint64_t hash_decision(const core::ScheduleDecision& d) {
 
 // --- Scheduler pools --------------------------------------------------------
 
-// Matches bench_sched_scalability's synthetic distribution.
+// Uniform synthetic profiles: t_cpu in [400, 8000), t_net in [20, 400).
 inline std::vector<core::SchedJob> synthetic_pool(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<core::SchedJob> jobs;

@@ -6,7 +6,9 @@ Pins the help/usage surface (every documented mode and flag family appears in
 options, unknown enum values, and mode-invalid combinations must exit 2 with a
 message that *names* the offending input, never a bare usage dump. Also smokes
 the service mode itself: two same-seed runs must produce byte-identical
-stdout (the deterministic report; wall-clock stats go to stderr).
+stdout (the deterministic report; wall-clock stats go to stderr). Batch mode
+prints its own wall-clock line on stderr, and a batch run that fails exits 1
+with the error on stderr.
 
 Registered in ctest as `test_cli` with the binary path as argv[1].
 Run directly: python3 tests/test_cli.py /path/to/harmony-sim
@@ -172,6 +174,27 @@ class CliTest(unittest.TestCase):
                    "--drift", "0.2")
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("admission=sjf", proc.stdout)
+
+    def test_batch_run_reports_wall_stats_on_stderr(self):
+        # Forty Poisson arrivals ten minutes apart on 16 machines: a lone job
+        # finishes while a profiling visitor shares its group, and the group
+        # it leaves empty must dissolve or every later arrival strands.
+        proc = run("--jobs", "40", "--machines", "16", "--arrival", "poisson:600",
+                   "--seed", "42")
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("finished 40 jobs", proc.stdout)
+        # Wall-clock throughput is stderr-only, like service mode's.
+        self.assertRegex(proc.stderr, r"wall [0-9.]+ s \| [0-9]+ events \| "
+                                      r"[0-9]+ events/s \| [0-9]+ sim-s per wall-s")
+        self.assertNotIn("events/s", proc.stdout)
+
+    def test_failed_batch_run_exits_1(self):
+        # Arrival gaps so wide that the arrival times overflow: ClusterSim
+        # refuses them, and the CLI reports that instead of terminating.
+        proc = run("--jobs", "20", "--machines", "40", "--arrival", "poisson:1e308")
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("arrival times must be finite", proc.stderr)
+        self.assertNotIn("terminate called", proc.stderr)
 
     def test_baseline_presets_keep_the_error_flag(self):
         # A baseline preset fixes execution, grouping and spill; --error must

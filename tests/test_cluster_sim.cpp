@@ -170,6 +170,29 @@ TEST(ClusterSim, PoissonArrivalsRespectSubmitTimes) {
   }
 }
 
+// A lone job that finishes while a profiling visitor still shares its group
+// leaves the group empty once the visitor parks. That group must dissolve
+// even though no regroup stopped it, or it keeps every machine and the later
+// arrivals never run.
+TEST(ClusterSim, EmptiedGroupDissolvesSoLaterArrivalsRun) {
+  auto workload = small_workload(10);
+  std::vector<double> arrivals;
+  for (std::size_t i = 0; i < workload.size(); ++i)
+    arrivals.push_back(900.0 * static_cast<double>(i));
+  for (const std::size_t machines : {6u, 8u, 10u, 12u, 16u, 20u, 24u, 32u, 48u}) {
+    for (const bool spill : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << machines << " machines, spill " << spill);
+      ClusterSimConfig config = ClusterSimConfig::harmony();
+      config.machines = machines;
+      config.spill_enabled = spill;
+      ClusterSim sim(config, workload, arrivals);
+      std::size_t finished = 0;
+      EXPECT_NO_THROW(finished = sim.run().jobs.size());
+      EXPECT_EQ(finished, workload.size());
+    }
+  }
+}
+
 TEST(ClusterSim, GroupStatsPopulated) {
   ClusterSimConfig config = ClusterSimConfig::harmony();
   config.machines = 24;

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
 #include "json_mini.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -284,91 +283,6 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
   EXPECT_EQ(&reg.counter("reset.counter"), &c);
 }
 
-TEST(MetricsRegistryTest, BenchReportAttachKeepsJsonValid) {
-  auto& reg = MetricsRegistry::instance();
-  reg.reset();
-  reg.counter("attach.counter").add(9);
-
-  const std::string path =
-      (::testing::TempDir().empty() ? std::string("/tmp/") : ::testing::TempDir()) +
-      "harmony_bench_attach_test.json";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\n\"benchmarks\": [{\"name\": \"BM_Fake\", \"real_time\": 1.0}]\n}\n";
-  }
-  ASSERT_TRUE(bench::attach_metrics_snapshot(path));
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const auto doc = parse_json(buf.str());
-  EXPECT_EQ(doc.at("benchmarks").array().size(), 1u);
-  EXPECT_DOUBLE_EQ(
-      doc.at("harmony_metrics").at("counters").at("attach.counter").number(), 9.0);
-  std::remove(path.c_str());
-}
-
-TEST(MetricsRegistryTest, BenchReportAttachRejectsMissingFile) {
-  EXPECT_FALSE(bench::attach_metrics_snapshot("/nonexistent/dir/report.json"));
-}
-
-namespace {
-
-std::string attach_fixture_path() {
-  return (::testing::TempDir().empty() ? std::string("/tmp/") : ::testing::TempDir()) +
-         "harmony_bench_attach_edge.json";
-}
-
-std::string write_and_attach(const std::string& content, bool* ok) {
-  const std::string path = attach_fixture_path();
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << content;
-  }
-  *ok = bench::attach_metrics_snapshot(path);
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::remove(path.c_str());
-  return buf.str();
-}
-
-}  // namespace
-
-TEST(MetricsRegistryTest, BenchReportAttachHandlesEmptyRootObject) {
-  auto& reg = MetricsRegistry::instance();
-  reg.reset();
-  reg.counter("attach.empty_root").add(3);
-  // An empty root object must gain the member with no leading comma.
-  bool ok = false;
-  const std::string result = write_and_attach("{}\n", &ok);
-  ASSERT_TRUE(ok);
-  const auto doc = parse_json(result);
-  EXPECT_DOUBLE_EQ(
-      doc.at("harmony_metrics").at("counters").at("attach.empty_root").number(), 3.0);
-
-  // Same with interior whitespace in the empty object.
-  const std::string spaced = write_and_attach("{  \n }\n", &ok);
-  ASSERT_TRUE(ok);
-  parse_json(spaced);  // throws on invalid splice
-}
-
-TEST(MetricsRegistryTest, BenchReportAttachRejectsNonObjectDocuments) {
-  bool ok = true;
-  // A JSON array ends in ']': no root object brace to splice before.
-  write_and_attach("[1, 2, 3]\n", &ok);
-  EXPECT_FALSE(ok);
-  // A '}' that is not the document's final token must not be spliced into.
-  write_and_attach("{\"a\": 1} trailing junk\n", &ok);
-  EXPECT_FALSE(ok);
-  // Non-JSON content without any brace.
-  write_and_attach("hello world\n", &ok);
-  EXPECT_FALSE(ok);
-  // A lone closing brace is not an object.
-  write_and_attach("}\n", &ok);
-  EXPECT_FALSE(ok);
-}
-
 TEST(DeltaSnapshotTest, CounterAndHistogramDeltasGaugesKeepLevel) {
   auto& reg = MetricsRegistry::instance();
   reg.reset();
@@ -481,21 +395,6 @@ TEST(DeltaSnapshotTest, WindowPercentileClampsToOccupiedBins) {
   EXPECT_LE(histogram_state_percentile(split, 0.25), 100.0);
   EXPECT_GE(histogram_state_percentile(split, 0.99), 400.0);
   EXPECT_LE(histogram_state_percentile(split, 0.99), 450.0);
-}
-
-TEST(MetricsRegistryTest, BenchReportAttachLeavesRejectedFileUntouched) {
-  const std::string path = attach_fixture_path();
-  const std::string original = "[\"not\", \"an\", \"object\"]\n";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << original;
-  }
-  EXPECT_FALSE(bench::attach_metrics_snapshot(path));
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), original);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 //     --machines M                      cluster size          (default 100)
 //     --arrival batch|poisson:SEC|trace:SEC   arrival process (default batch)
 //     --seed S                          simulation seed       (default 1)
+//   A batch run prints its summary on stdout and one wall-clock line on
+//   stderr (wall seconds, events fired, events/s, simulated s per wall s).
+//   A run that fails (a stranded job, a failed check) prints the error on
+//   stderr and exits 1.
 //
 //   Service mode (open-loop continuous arrivals, incremental rescheduling,
 //   admission control; deterministic report on stdout, wall-clock throughput
@@ -62,10 +66,13 @@
 //   harmony_sim --jobs 20 --machines 40 --arrival poisson:120 --timeline
 //   harmony_sim --jobs 20 --machines 40 --chrome-trace out.json --metrics m.json
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <csignal>  // lint: allow-signal-handler (flight-recorder crash hook)
 #include <cstdio>
 #include <cstring>
+#include <exception>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -400,10 +407,27 @@ int main(int argc, char** argv) {
               catalog.size(), config.machines, arrival.c_str(),
               config.spill_enabled ? "on" : "off");
 
-  exp::ClusterSim sim(config, catalog, arrivals);
-  const auto summary = sim.run();
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::optional<exp::ClusterSim> sim_storage;
+  exp::RunSummary summary;
+  try {
+    sim_storage.emplace(config, catalog, arrivals);
+    summary = sim_storage->run();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 1;
+  }
+  const exp::ClusterSim& sim = *sim_storage;
+  const double wall_sec =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
 
-  // stderr, so --validate leaves stdout byte-identical (golden determinism).
+  // Wall-clock and validation lines go to stderr, so stdout stays a pure
+  // function of the flags (golden determinism, --validate on or off).
+  const double wall_rate = wall_sec > 0.0 ? 1.0 / wall_sec : 0.0;
+  std::fprintf(stderr,
+               "wall %.3f s | %llu events | %.0f events/s | %.0f sim-s per wall-s\n",
+               wall_sec, static_cast<unsigned long long>(sim.events_fired()),
+               static_cast<double>(sim.events_fired()) * wall_rate, sim.sim_now() * wall_rate);
   if (config.validate)
     std::fprintf(stderr, "validation: %zu passes, all invariants clean\n",
                  sim.validations_run());
